@@ -45,7 +45,7 @@ from .invariants import (
 )
 from .matroid import Matroid, boolean, complete_graph, mask_of, uniform, vamos
 from .poly import Poly, gamma_vector, is_unimodal, series_inverse_prefix
-from .poset import GradedPoset, kls_H_general, kls_uH_general, whitney_numbers
+from .poset import GradedPoset, kls_H_general, kls_uH_general, lattice_of_flats, whitney_numbers
 from .realroots import interlaces, real_rooted
 
 EXIT_OK = 0
@@ -240,14 +240,15 @@ def cmd_certify(args):
         if not m.is_loopless():
             print("error: certification needs a loopless matroid", file=sys.stderr)
             return EXIT_USAGE
-        uh = chow_char_conv(m)
-        h = aug_chow_contraction_conv(m)
-        z = z_poly(m)
-        p = kl_poly(m)
+        lat = lattice_of_flats(m)  # one lattice, so its interval tables are shared
+        uh = chow_char_conv(m, lattice=lat)
+        h = aug_chow_contraction_conv(m, lattice=lat)
+        z = z_poly(m, lattice=lat)
+        p = kl_poly(m, lattice=lat)
         named = (("chow", uh), ("augchow", h), ("z", z), ("kl", p))
         for name, arg in checks:
             if name == "gamma":
-                results["gamma"] = _gamma_payload(certify_gamma(m))
+                results["gamma"] = _gamma_payload(certify_gamma(m, lattice=lat))
             elif name == "real-rooted":
                 entries = [
                     {"name": t, "poly": _coeffs(q), "ok": q.is_zero() or real_rooted(q)}
@@ -267,7 +268,7 @@ def cmd_certify(args):
                     "entries": entries,
                 }
             elif name == "dominance":
-                rep = certify_dominance(m)
+                rep = certify_dominance(m, lattice=lat)
                 results["dominance"] = rep.to_json()
             elif name == "interlace":
                 ok = interlaces(uh, h)

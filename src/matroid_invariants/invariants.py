@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .matroid import uniform
+from .matroid import set_of, uniform
 from .poly import (
     ONE,
     Poly,
@@ -246,17 +246,13 @@ def chow_incidence_inv(m, lattice=None):
     table = lat._cache.get("chow_lower")
     if table is None:
         table = [None] * lat.size
-        below = [[] for _ in range(lat.size)]
-        for i in range(lat.size):
-            for j in lat.above[i]:
-                below[j].append(i)
         order = sorted(range(lat.size), key=lambda i: (lat.ranks[i], i))
         for z in order:
             if z == lat.bottom:
                 table[z] = ONE
                 continue
             acc = ZERO
-            for g in below[z]:
+            for g in set_of(lat.down_mask[z]):
                 acc = acc + table[g] * interval_chibar(lat, g, z)
             table[z] = acc
         lat._cache["chow_lower"] = table
@@ -316,10 +312,6 @@ def aug_chow_incidence_inv(m, lattice=None):
     table = lat._cache.get("aug_lower_mobius")
     if table is None:
         table = [None] * lat.size
-        below = [[] for _ in range(lat.size)]
-        for i in range(lat.size):
-            for j in lat.above[i]:
-                below[j].append(i)
         order = sorted(range(lat.size), key=lambda i: (lat.ranks[i], i))
         for z in order:
             if z == lat.bottom:
@@ -327,7 +319,7 @@ def aug_chow_incidence_inv(m, lattice=None):
                 continue
             rz = lat.ranks[z]
             acc = ZERO
-            for g in below[z]:
+            for g in set_of(lat.down_mask[z]):
                 mu = mobius(lat, g, z)
                 if mu:
                     acc = acc + (mu * ones(rz - lat.ranks[g] + 1)) * table[g]

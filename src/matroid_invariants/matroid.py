@@ -33,12 +33,10 @@ def mask_of(elements):
 def set_of(mask):
     """Sorted element list of a bit mask."""
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -113,17 +111,24 @@ class Matroid:
         a = subset if isinstance(subset, int) else mask_of(subset)
         return max((a & b).bit_count() for b in self.bases)
 
-    def closure(self, subset):
+    def closure(self, subset, bases=None):
         """Smallest flat containing the subset, as a mask.
 
         An element f lies outside the closure iff some basis meeting A in
         rk(A) elements contains f; so cl(A) is the complement of the union
         of the rank-attaining bases (together with A itself).
+
+        `bases` narrows the scan to a subfamily of the bases; it must hold
+        every basis meeting A in rk(A) elements.  For a flat F of rank r
+        and e outside F, the bases meeting F in r elements are such a
+        family for F + e, which is how the lattice of flats is built.
         """
         a = subset if isinstance(subset, int) else mask_of(subset)
-        best = max((a & b).bit_count() for b in self.bases)
+        if bases is None:
+            bases = self.bases
+        best = max((a & b).bit_count() for b in bases)
         outside = 0
-        for b in self.bases:
+        for b in bases:
             if (a & b).bit_count() == best:
                 outside |= b
         return a | (self.full_mask & ~outside)
@@ -146,9 +151,6 @@ class Matroid:
 
     def is_loopless(self):
         return self.loops() == 0
-
-    def flats_would_be_expensive(self):
-        return False
 
     # -- combinators ---------------------------------------------------------
 
@@ -225,14 +227,9 @@ class Matroid:
         """Every circuit has size >= rank, i.e. all (rank-1)-subsets independent."""
         if not self.is_loopless():
             raise ValueError("paving predicates require a loopless matroid")
-        k = self.rank
-        if k <= 1:
-            return True
-        return all(
-            self.rank_of(a) == k - 1 for a in _subsets_of_size(self.full_mask, k - 1)
-        )
+        return self._is_paving()
 
-    def _is_paving_raw(self):
+    def _is_paving(self):
         # circuit-size definition, valid with loops: rank <= 1 is always
         # paving, and loops rule out paving once the rank exceeds 1
         k = self.rank
@@ -247,7 +244,7 @@ class Matroid:
     def is_sparse_paving(self):
         if not self.is_loopless():
             raise ValueError("paving predicates require a loopless matroid")
-        return self.is_paving() and self.dual()._is_paving_raw()
+        return self.is_paving() and self.dual()._is_paving()
 
     def hyperplanes(self):
         """All flats of rank rk(M) - 1, as masks."""

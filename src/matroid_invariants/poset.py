@@ -4,16 +4,35 @@ polynomials on any finite bounded graded poset.
 
 Both `GradedPoset` and `FlatsLattice` expose the same small interface used
 by the engines: `size`, `ranks[i]`, `above[i]` (ids strictly above i,
-ascending by rank), `bottom`, `top`, `leq(i, j)`.  Interval data (Moebius
-numbers, interval characteristic polynomials, the per-interval polynomial
-tables) is cached on the object after first use; instances are immutable
-apart from those caches.
+ascending by rank), `bottom`, `top`, `leq(i, j)`, and the order relation as
+int bitsets over ids, `up_mask[i]` (ids strictly above i) and
+`down_mask[i]` (ids strictly below i).  Interval data (Moebius numbers,
+interval characteristic polynomials, the per-interval polynomial tables)
+is cached on the object after first use; instances are immutable apart
+from those caches.
 """
 
 from __future__ import annotations
 
-from .matroid import set_of
+from .matroid import mask_of, set_of
 from .poly import ONE, Poly, X, ZERO, exact_div_x_minus_1, palindromic_decompose
+
+
+def _order_masks(covers_up, order):
+    """`up_mask` and `down_mask` from the cover bitsets `covers_up[i]`,
+    given the ids in increasing rank order."""
+    up_mask = [0] * len(covers_up)
+    down_mask = [0] * len(covers_up)
+    for i in reversed(order):
+        acc = 0
+        for j in set_of(covers_up[i]):
+            acc |= (1 << j) | up_mask[j]
+        up_mask[i] = acc
+    for i in order:
+        at_or_below = down_mask[i] | (1 << i)
+        for j in set_of(covers_up[i]):
+            down_mask[j] |= at_or_below
+    return up_mask, down_mask
 
 
 class GradedPoset:
@@ -24,7 +43,7 @@ class GradedPoset:
         m = len(ranks)
         if m == 0:
             raise ValueError("empty poset")
-        up = [set() for _ in range(m)]
+        up = [0] * m
         for lo, hi in covers:
             if not (0 <= lo < m and 0 <= hi < m):
                 raise ValueError("cover endpoint out of range")
@@ -32,34 +51,27 @@ class GradedPoset:
                 raise ValueError(
                     "cover (%d, %d) does not raise rank by exactly 1" % (lo, hi)
                 )
-            up[lo].add(hi)
-        above = [set() for _ in range(m)]
-        for i in sorted(range(m), key=lambda i: -ranks[i]):
-            for j in up[i]:
-                above[i].add(j)
-                above[i] |= above[j]
-        bottoms = [i for i in range(m) if all(i not in above[j] for j in range(m))]
-        tops = [i for i in range(m) if not above[i]]
+            up[lo] |= 1 << hi
+        order = sorted(range(m), key=lambda i: ranks[i])
+        up_mask, down_mask = _order_masks(up, order)
+        bottoms = [i for i in range(m) if not down_mask[i]]
+        tops = [i for i in range(m) if not up_mask[i]]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("poset is not bounded (needs unique bottom and top)")
         self.bottom, self.top = bottoms[0], tops[0]
+        # a unique minimal (maximal) element of a finite poset lies below
+        # (above) every element, so the poset is bounded
         if ranks[self.bottom] != 0:
             raise ValueError("bottom element must have rank 0")
-        if self.top != self.bottom and self.top not in above[self.bottom]:
-            raise ValueError("poset is not bounded (top not above bottom)")
-        for i in range(m):
-            if i != self.top and self.top not in above[i]:
-                raise ValueError("element %d is not below the top" % i)
-            if i != self.bottom and i not in above[self.bottom]:
-                raise ValueError("element %d is not above the bottom" % i)
         self.ranks = ranks
         self.size = m
-        self._above_sets = [frozenset(a) for a in above]
-        self.above = [sorted(a, key=lambda j: (ranks[j], j)) for a in above]
+        self.up_mask = up_mask
+        self.down_mask = down_mask
+        self.above = [sorted(set_of(a), key=lambda j: (ranks[j], j)) for a in up_mask]
         self._cache = {}
 
     def leq(self, i, j):
-        return i == j or j in self._above_sets[i]
+        return i == j or bool(self.up_mask[i] >> j & 1)
 
     @classmethod
     def from_json(cls, data):
@@ -78,44 +90,53 @@ class GradedPoset:
 
 
 class FlatsLattice:
-    """Lattice of flats of a loopless matroid, flats as bit masks by rank."""
+    """Lattice of flats of a loopless matroid, flats as bit masks by rank.
+
+    Flats get ids by rank, then by mask.  The build is a breadth-first
+    search by rank that uses the fact that the flats covering a flat F
+    partition E - F (Oxley, Matroid Theory, section 1.7).  For each flat F
+    of rank r it scans the bases once and keeps those meeting F in r
+    elements; they hold every basis that attains rank r + 1 on F + e, so
+    each closure scans only them.  Each closure strips its whole cover
+    from the elements still to try, so there is one `closure` call per
+    covering pair, and ranks come from the search level.  The order
+    relation is then assembled from the covers as id bitsets.
+    """
 
     def __init__(self, matroid):
         if not matroid.is_loopless():
             raise ValueError("the lattice of flats requires a loopless matroid")
         self.matroid = matroid
         k = matroid.rank
-        by_rank = [[] for _ in range(k + 1)]
-        by_rank[0] = [0]
-        seen = {0}
-        frontier = [0]
+        full = matroid.full_mask
+        bases = matroid.bases
+        by_rank = [[0]]
+        covers = {}  # flat -> the flats covering it
         for r in range(k):
             nxt = set()
-            for f in frontier:
-                rest = matroid.full_mask & ~f
+            for f in by_rank[r]:
+                spanning = [b for b in bases if (b & f).bit_count() == r]
+                covers[f] = ups = []
+                rest = full & ~f
                 while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    g = matroid.closure(f | bit)
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.add(g)
-            frontier = sorted(nxt)
-            by_rank[r + 1] = frontier
+                    g = matroid.closure(f | (rest & -rest), spanning)
+                    rest &= ~g
+                    ups.append(g)
+                nxt.update(ups)
+            by_rank.append(sorted(nxt))
         flats = [f for flats_r in by_rank for f in flats_r]
         self.flats = tuple(flats)
         self.size = len(flats)
-        self.index = {f: i for i, f in enumerate(flats)}
-        self.ranks = tuple(matroid.rank_of(f) for f in flats)
-        self.by_rank = [[self.index[f] for f in flats_r] for flats_r in by_rank]
+        self.index = index = {f: i for i, f in enumerate(flats)}
+        self.ranks = tuple(r for r, flats_r in enumerate(by_rank) for _ in flats_r)
+        self.by_rank = [[index[f] for f in flats_r] for flats_r in by_rank]
         self.bottom = 0
         self.top = self.size - 1
-        above = []
-        for i, f in enumerate(flats):
-            above.append(
-                [j for j in range(self.size) if j != i and flats[j] & f == f]
-            )
-        self.above = above
+        covers_up = [0] * self.size
+        for f, ups in covers.items():
+            covers_up[index[f]] = mask_of(index[g] for g in ups)
+        self.up_mask, self.down_mask = _order_masks(covers_up, range(self.size))
+        self.above = [set_of(a) for a in self.up_mask]
         self._cache = {}
 
     def leq(self, i, j):
@@ -130,9 +151,6 @@ class FlatsLattice:
             for j in self.above[i]
             if self.ranks[j] == self.ranks[i] + 1
         ]
-
-    def flat_elements(self, i):
-        return set_of(self.flats[i])
 
     def __repr__(self):
         return "FlatsLattice(flats=%d, rank=%d)" % (self.size, self.ranks[self.top])
@@ -152,8 +170,9 @@ def _mobius_row(p, x):
     row = rows.get(x)
     if row is None:
         row = {x: 1}
+        from_x = p.up_mask[x] | (1 << x)
         for y in p.above[x]:  # ascending rank order
-            row[y] = -sum(row[z] for z in row if p.leq(z, y) and z != y)
+            row[y] = -sum(row[z] for z in set_of(p.down_mask[y] & from_x))
         rows[x] = row
     return row
 
@@ -173,11 +192,11 @@ def interval_char_poly(p, x, y):
     if not p.leq(x, y):
         raise ValueError("not an interval")
     row = _mobius_row(p, x)
-    ry = p.ranks[y]
-    out = [0] * (ry - p.ranks[x] + 1)
-    for z, mu in row.items():
-        if p.leq(z, y):
-            out[ry - p.ranks[z]] += mu
+    ranks = p.ranks
+    ry = ranks[y]
+    out = [0] * (ry - ranks[x] + 1)
+    for z in set_of((p.down_mask[y] & p.up_mask[x]) | (1 << x) | (1 << y)):
+        out[ry - ranks[z]] += row[z]
     return Poly(out)
 
 

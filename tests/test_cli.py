@@ -3,11 +3,15 @@ import os
 
 import pytest
 
+from matroid_invariants import poset
 from matroid_invariants.cli import main, parse_matroid_spec
 from matroid_invariants.matroid import Matroid, boolean, complete_graph, uniform, vamos
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 POSET_FILE = os.path.join(FIXTURES, "non_gamma_positive.poset.json")
+# `certify vamos gamma real-rooted dominance interlace --json`, recorded
+# when each certificate built its own lattice
+CERTIFY_VAMOS_FILE = os.path.join(FIXTURES, "certify_vamos.json")
 
 
 def run(capsys, *argv):
@@ -97,6 +101,23 @@ def test_certify_pass(capsys):
         capsys, "certify", "vamos", "gamma", "real-rooted", "dominance", "interlace"
     )
     assert code == 0 and data["ok"] is True
+
+
+def test_certify_builds_one_lattice(capsys, monkeypatch):
+    builds = []
+    init = poset.FlatsLattice.__init__
+
+    def counting_init(self, matroid):
+        builds.append(matroid)
+        init(self, matroid)
+
+    monkeypatch.setattr(poset.FlatsLattice, "__init__", counting_init)
+    code, data = run_json(
+        capsys, "certify", "vamos", "gamma", "real-rooted", "dominance", "interlace"
+    )
+    assert code == 0 and builds == [vamos()]
+    with open(CERTIFY_VAMOS_FILE, encoding="utf-8") as fh:
+        assert data == json.load(fh)
 
 
 def test_certify_koszul_and_unimodal(capsys):

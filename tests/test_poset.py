@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,6 +11,8 @@ from matroid_invariants.matroid import (
     boolean,
     complete_graph,
     empty_matroid,
+    equal_tutte_pair,
+    mask_of,
     uniform,
     vamos,
 )
@@ -18,6 +22,7 @@ from matroid_invariants.poset import (
     GradedPoset,
     bergman_f_h,
     char_poly,
+    interval_char_poly,
     interval_chibar,
     kls_H_general,
     kls_P_general,
@@ -78,6 +83,83 @@ def brute_chow_on_poset(ranks, leq_pairs, top):
     return uh
 
 
+def reference_lattice(m):
+    """Literal build, kept as an oracle: one closure per element outside
+    each flat, ranks from `rank_of`, and `above` by a subset test over all
+    flats.  Returns (flats, ranks, by_rank, above) in `FlatsLattice` form."""
+    by_rank = [[0]]
+    seen = {0}
+    for r in range(m.rank):
+        nxt = set()
+        for f in by_rank[r]:
+            for e in range(m.n):
+                if not f >> e & 1:
+                    g = m.closure(f | 1 << e)
+                    if g not in seen:
+                        seen.add(g)
+                        nxt.add(g)
+        by_rank.append(sorted(nxt))
+    flats = [f for flats_r in by_rank for f in flats_r]
+    index = {f: i for i, f in enumerate(flats)}
+    ranks = [m.rank_of(f) for f in flats]
+    by_rank_ids = [[index[f] for f in flats_r] for flats_r in by_rank]
+    above = [
+        [j for j in range(len(flats)) if j != i and flats[j] & f == f]
+        for i, f in enumerate(flats)
+    ]
+    return flats, ranks, by_rank_ids, above
+
+
+def random_sparse_paving(rng, n, k, tries):
+    """Random circuit-hyperplanes (k-sets pairwise meeting in at most k - 2
+    elements) removed from the k-subsets of [n]."""
+    chosen = []
+    for _ in range(tries):
+        c = mask_of(rng.sample(range(n), k))
+        if all((c & d).bit_count() <= k - 2 for d in chosen):
+            chosen.append(c)
+    dead = set(chosen)
+    bases = [mask_of(s) for s in combinations(range(n), k) if mask_of(s) not in dead]
+    return Matroid(n, bases, validate=False)
+
+
+def random_graphic(rng, vertices, edges):
+    """Graphic matroid of a random simple graph: bases are the spanning
+    forests of maximum size."""
+    pairs = rng.sample(list(combinations(range(vertices), 2)), edges)
+
+    def forest_size(subset):
+        parent = list(range(vertices))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        size = 0
+        for i in subset:
+            ru, rv = find(pairs[i][0]), find(pairs[i][1])
+            if ru != rv:
+                parent[ru] = rv
+                size += 1
+        return size
+
+    r = forest_size(range(edges))
+    bases = [mask_of(t) for t in combinations(range(edges), r) if forest_size(t) == r]
+    return Matroid(edges, bases, validate=False)
+
+
+def stress_matroids():
+    rng = random.Random(20221206)
+    out = [("sparse-paving-%d" % i, random_sparse_paving(rng, n, k, 12))
+           for i, (n, k) in enumerate([(7, 3), (8, 4), (9, 4), (9, 5), (10, 4)])]
+    out += [("graphic-%d" % i, random_graphic(rng, v, e))
+            for i, (v, e) in enumerate([(5, 7), (6, 9), (6, 11), (7, 10), (7, 13)])]
+    m1, m2 = equal_tutte_pair()
+    out += [("tutte-pair-1", m1), ("tutte-pair-2", m2), ("braid:5", complete_graph(5))]
+    return out
+
+
 # -- lattice construction ----------------------------------------------------------
 
 
@@ -86,6 +168,40 @@ def test_lattice_sizes():
     assert lattice_of_flats(boolean(5)).size == 32
     assert lattice_of_flats(complete_graph(4)).size == 15  # Bell(4)
     assert lattice_of_flats(complete_graph(6)).size == 203  # Bell(6)
+    assert lattice_of_flats(complete_graph(7)).size == 877  # Bell(7)
+
+
+def test_lattice_matches_reference_build(small_corpus):
+    cases = [(name, m) for name, m, _ in small_corpus] + stress_matroids()
+    for name, m in cases:
+        lat = lattice_of_flats(m)
+        flats, ranks, by_rank, above = reference_lattice(m)
+        assert list(lat.flats) == flats, name
+        assert list(lat.ranks) == ranks, name
+        assert lat.by_rank == by_rank, name
+        assert lat.above == above, name  # same lists, same order
+        for i in range(lat.size):
+            assert lat.up_mask[i] == mask_of(above[i]), (name, i)
+            assert lat.down_mask[i] == mask_of(j for j in range(lat.size) if i in above[j]), (name, i)
+
+
+def test_narrowed_closure_matches_full_closure():
+    rng = random.Random(7)
+    for name, m in stress_matroids() + [("vamos", vamos()), ("uniform:3,6", uniform(3, 6))]:
+        for _ in range(40):
+            a = rng.getrandbits(m.n)
+            r = m.rank_of(a)
+            attaining = [b for b in m.bases if (a & b).bit_count() == r]
+            others = [b for b in m.bases if (a & b).bit_count() != r]
+            family = attaining + rng.sample(others, len(others) // 2)
+            rng.shuffle(family)
+            assert m.closure(a, family) == m.closure(a), (name, a)
+        # the family the lattice build uses: bases spanning a flat F, for F + e
+        for f in lattice_of_flats(m).flats:
+            r = m.rank_of(f)
+            spanning = [b for b in m.bases if (b & f).bit_count() == r]
+            for e in range(m.n):
+                assert m.closure(f | 1 << e, spanning) == m.closure(f | 1 << e), (name, f, e)
 
 
 def test_lattice_requires_loopless():
@@ -112,12 +228,20 @@ def test_mobius_values():
 
 
 def test_mobius_against_zeta_inverse():
-    for m in (uniform(2, 4), complete_graph(4), boolean(3)):
-        lat = lattice_of_flats(m)
-        inv = brute_mobius_matrix(lat)
-        for i in range(lat.size):
-            for j in range(lat.size):
-                assert mobius(lat, i, j) == inv[i][j], (m, i, j)
+    posets = [GradedPoset.from_json(COUNTEREXAMPLE)]
+    posets += [lattice_of_flats(m) for m in (uniform(2, 4), complete_graph(4), boolean(3), vamos())]
+    posets += [lattice_of_flats(m) for _, m in stress_matroids()[:2]]
+    for p in posets:
+        inv = brute_mobius_matrix(p)
+        for i in range(p.size):
+            for j in range(p.size):
+                assert mobius(p, i, j) == inv[i][j], (p, i, j)
+                if p.leq(i, j):
+                    expect = [0] * (p.ranks[j] - p.ranks[i] + 1)
+                    for z in range(p.size):
+                        if p.leq(i, z) and p.leq(z, j):
+                            expect[p.ranks[j] - p.ranks[z]] += int(inv[i][z])
+                    assert interval_char_poly(p, i, j) == Poly(expect), (p, i, j)
 
 
 def test_mobius_alternates_on_geometric_lattices(small_corpus, store):
@@ -233,6 +357,21 @@ def test_graded_poset_validation():
         GradedPoset([0, 0, 1], [[0, 2], [1, 2]])  # two minimal elements
     with pytest.raises(ValueError):
         GradedPoset([1, 2], [[0, 1]])  # bottom must have rank 0
+
+
+def test_graded_poset_order_masks():
+    p = GradedPoset.from_json(COUNTEREXAMPLE)
+    leq = {(lo, hi) for lo, hi in COUNTEREXAMPLE["covers"]}
+    for _ in range(p.size):  # transitive closure of the covers
+        leq |= {(a, d) for a, b in leq for c, d in leq if b == c}
+    for i in range(p.size):
+        assert p.up_mask[i] == mask_of(j for j in range(p.size) if (i, j) in leq), i
+        assert p.down_mask[i] == mask_of(j for j in range(p.size) if (j, i) in leq), i
+        assert p.above[i] == sorted(
+            (j for j in range(p.size) if (i, j) in leq), key=lambda j: (p.ranks[j], j)
+        ), i
+        for j in range(p.size):
+            assert p.leq(i, j) == (i == j or (i, j) in leq), (i, j)
 
 
 def test_graded_poset_json_round_trip():
