@@ -14,8 +14,7 @@ Matroids are named by a small grammar:
 With --poset, certify loads a JSON bounded graded poset
 {"rank": [...], "covers": [[lo, hi], ...]} instead of a matroid and runs the
 general-poset engines.  All polynomial coefficients are printed as decimal
-strings.  The environment variable MATROID_MAX_FLATS overrides the warning
-threshold of the chain-enumeration engines (default 2000).
+strings.
 """
 
 from __future__ import annotations

@@ -3,18 +3,25 @@ polynomial (Hilbert series of the Chow ring), the augmented Chow polynomial,
 the Kazhdan-Lusztig polynomial and the Z-polynomial.
 
 Every invariant is implemented by several genuinely different formulas
-(chain enumeration, characteristic-polynomial convolutions, the intrinsic
+(chain sums, characteristic-polynomial convolutions, the intrinsic
 symmetric-decomposition recursion, incidence-algebra inverse formulas,
 deletion recursions from semi-small decompositions, and closed forms for
 uniform, paving and braid matroids).  Cross-checking them against each
 other is the central correctness property of this package; `invariant_report`
 runs every applicable method and reports agreement.
 
+The lattice engines are kernels over `poset.interval_dp`, one pass over the
+comparable pairs of the lattice of flats per table; they differ only in the
+kernel of an interval (reduced characteristic polynomial, Moebius number,
+characteristic polynomial, rank-gap factor) and in the finishing step.
+
 Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
 polynomial and characteristic polynomial vanish; the augmented Chow and
-Z-polynomials are those of the matroid with its loops deleted.
+Z-polynomials are those of the matroid with its loops deleted, and a
+lattice passed along with such a matroid is that of its loopless core.
 
-Method identifiers (stable strings, also used by the CLI):
+Method identifiers (stable strings, also used by the CLI), in the order of
+the `METHODS` registry:
 
 ==============  ==============================================================
 kind            methods
@@ -29,7 +36,7 @@ z               conv_def, bv_deletion
 ==============  ==============================================================
 
 chains          sum over chains of flats of products of truncated geometric
-                factors, one per rank gap
+                factors, one per rank gap, computed as a DP over the flats
 char_conv       uH_M = sum over nonempty flats of chibar(M|F) * uH(M/F)
 intrinsic       symmetric a/b decomposition of S(x) = sum x^rk(F) uH(M/F)
 incidence_inv   uH_M = sum over proper flats of uH(M|F) * chibar(M/F); the
@@ -51,14 +58,12 @@ uniform_fast    rank-aggregated epw recursion, memoized on (k, n)
 
 from __future__ import annotations
 
-import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .matroid import set_of, uniform
+from .matroid import uniform
 from .poly import (
     ONE,
     Poly,
@@ -73,58 +78,20 @@ from .poly import (
     stirling2,
 )
 from .poset import (
+    bergman_f_h,
     interval_char_poly,
     interval_chibar,
+    interval_dp,
     kls_H_general,
     kls_P_general,
     kls_uH_general,
     kls_Z_general,
     lattice_of_flats,
     mobius,
+    rank_sum,
 )
-
-CHOW_METHODS = (
-    "chains",
-    "char_conv",
-    "intrinsic",
-    "incidence_inv",
-    "semismall",
-    "uniform_closed",
-    "paving",
-    "braid_closed",
-)
-AUGCHOW_METHODS = (
-    "chains",
-    "contraction_conv",
-    "alt_conv",
-    "mobius_conv",
-    "intrinsic",
-    "incidence_inv",
-    "semismall",
-    "uniform_closed",
-    "paving",
-    "coloop_closed",
-)
-KL_METHODS = ("epw", "intrinsic", "bv_deletion", "uniform_fast")
-Z_METHODS = ("conv_def", "bv_deletion")
-
-KINDS = {"chow": CHOW_METHODS, "augchow": AUGCHOW_METHODS, "kl": KL_METHODS, "z": Z_METHODS}
 
 DELETION_ENGINE_LIMIT = 9  # semismall / bv_deletion are exercised up to here
-
-
-def _lat(m, lattice=None):
-    return lattice if lattice is not None else lattice_of_flats(m)
-
-
-def _warn_if_many_flats(lat):
-    threshold = int(os.environ.get("MATROID_MAX_FLATS", "2000"))
-    if lat.size > threshold:
-        warnings.warn(
-            "enumerating chains over %d flats; expect this to be slow" % lat.size,
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _loopless_core(m):
@@ -132,85 +99,72 @@ def _loopless_core(m):
     return m.delete(loops) if loops else m
 
 
-# -- chain-enumeration engines ------------------------------------------------
+def _lat(m, lattice=None):
+    """The lattice of flats of m's loopless core, unless one is given."""
+    return lattice if lattice is not None else lattice_of_flats(_loopless_core(m))
+
+
+# -- chain sums -------------------------------------------------------------------
+
+
+def _chain_table(lat):
+    """u[F] = sum over chains of flats F = F0 < F1 < ... of the products of
+    x + ... + x^(gap - 1) over their rank gaps, by the DP
+    u[F] = 1 + sum_{G > F} (x + ... + x^(rk G - rk F - 1)) u[G].  Gaps of 1
+    give a zero factor and are skipped."""
+    ranks = lat.ranks
+    gap_factor = [ones(g - 1).shift(1) for g in range(ranks[lat.top] + 1)]
+
+    def term(f, g, u):
+        gap = ranks[g] - ranks[f]
+        return gap_factor[gap] * u if gap >= 2 else ZERO
+
+    return interval_dp(lat, "chains", True, term, lambda f, s: ONE + s)
 
 
 def chow_chains(m, lattice=None):
     """Chow polynomial as a sum over chains of flats starting at the empty
     set, each chain weighted by the product of x(1-x^(gap-1))/(1-x) over its
-    rank gaps.  Chains with any gap of 1 contribute zero and are pruned."""
+    rank gaps."""
     if not m.is_loopless():
         return ZERO
     lat = _lat(m, lattice)
-    _warn_if_many_flats(lat)
-    k = lat.ranks[lat.top]
-    gap_factor = [ones(g - 1).shift(1) for g in range(k + 2)]
-    acc = [0] * (k + 1)
-    ranks = lat.ranks
-    above = lat.above
-
-    def walk(i, prod):
-        for d, c in enumerate(prod.coeffs):
-            acc[d] += c
-        ri = ranks[i]
-        for j in above[i]:
-            g = ranks[j] - ri
-            if g >= 2:
-                walk(j, prod * gap_factor[g])
-
-    walk(lat.bottom, ONE)
-    return Poly(acc)
+    return _chain_table(lat)[lat.bottom]
 
 
 def aug_chow_chains(m, lattice=None):
     """Augmented Chow polynomial: 1 plus a sum over chains of nonempty
     flats, with leading factor x + ... + x^rk(F0)."""
-    core = _loopless_core(m)
-    lat = _lat(core, lattice if core is m else None)
-    _warn_if_many_flats(lat)
-    k = lat.ranks[lat.top]
-    gap_factor = [ones(g - 1).shift(1) for g in range(k + 2)]
-    acc = [0] * (k + 1)
-    acc[0] = 1
-    ranks = lat.ranks
-    above = lat.above
-
-    def walk(i, prod):
-        for d, c in enumerate(prod.coeffs):
-            acc[d] += c
-        ri = ranks[i]
-        for j in above[i]:
-            g = ranks[j] - ri
-            if g >= 2:
-                walk(j, prod * gap_factor[g])
-
-    for start in range(lat.size):
-        r = ranks[start]
-        if r > 0:
-            walk(start, ones(r).shift(1))
-    return Poly(acc)
+    lat = _lat(m, lattice)
+    u = _chain_table(lat)
+    return ONE + sum((ones(r).shift(1) * u[f] for f, r in enumerate(lat.ranks) if r), ZERO)
 
 
 # -- convolution engines --------------------------------------------------------
 
 
+def _chibar_term(lat):
+    return lambda x, y, t: interval_chibar(lat, x, y) * t
+
+
+def _mobius_term(lat):
+    """mu(x, y)(1 + ... + x^(rk y - rk x)) * t, skipping mu = 0."""
+
+    def term(x, y, t):
+        mu = mobius(lat, x, y)
+        return (mu * ones(lat.ranks[y] - lat.ranks[x] + 1)) * t if mu else ZERO
+
+    return term
+
+
+def _negate(z, s):
+    return -s
+
+
 def _chow_upper_table(lat):
     """uH of every upper interval [F, top], by the reduced-characteristic
     convolution uH[F] = sum_{G > F} chibar([F, G]) * uH[G]."""
-    table = lat._cache.get("chow_upper")
-    if table is None:
-        table = [None] * lat.size
-        order = sorted(range(lat.size), key=lambda i: (-lat.ranks[i], i))
-        for z in order:
-            if z == lat.top:
-                table[z] = ONE
-                continue
-            acc = ZERO
-            for g in lat.above[z]:
-                acc = acc + interval_chibar(lat, z, g) * table[g]
-            table[z] = acc
-        lat._cache["chow_upper"] = table
-    return table
+    return interval_dp(lat, "chow_upper", True, _chibar_term(lat))
 
 
 def chow_char_conv(m, lattice=None):
@@ -225,15 +179,12 @@ def chow_intrinsic(m, lattice=None):
     """Chow polynomial by the intrinsic symmetric-decomposition recursion."""
     if not m.is_loopless():
         return ZERO
-    lat = _lat(m, lattice)
-    return kls_uH_general(lat)
+    return kls_uH_general(_lat(m, lattice))
 
 
 def aug_chow_intrinsic(m, lattice=None):
-    if not m.is_loopless():
-        return aug_chow_intrinsic(_loopless_core(m))
-    lat = _lat(m, lattice)
-    return kls_H_general(lat)
+    """Augmented Chow polynomial by the intrinsic recursion."""
+    return kls_H_general(_lat(m, lattice))
 
 
 def chow_incidence_inv(m, lattice=None):
@@ -243,37 +194,18 @@ def chow_incidence_inv(m, lattice=None):
     if not m.is_loopless():
         return ZERO
     lat = _lat(m, lattice)
-    table = lat._cache.get("chow_lower")
-    if table is None:
-        table = [None] * lat.size
-        order = sorted(range(lat.size), key=lambda i: (lat.ranks[i], i))
-        for z in order:
-            if z == lat.bottom:
-                table[z] = ONE
-                continue
-            acc = ZERO
-            for g in set_of(lat.down_mask[z]):
-                acc = acc + table[g] * interval_chibar(lat, g, z)
-            table[z] = acc
-        lat._cache["chow_lower"] = table
-    return table[lat.top]
+    return interval_dp(lat, "chow_lower", False, _chibar_term(lat))[lat.top]
 
 
 def aug_chow_contraction_conv(m, lattice=None):
     """H_M = sum over flats of x^rk(F) * uH(M/F)."""
-    core = _loopless_core(m)
-    lat = _lat(core, lattice if core is m else None)
-    table = _chow_upper_table(lat)
-    acc = ZERO
-    for f in range(lat.size):
-        acc = acc + table[f].shift(lat.ranks[f])
-    return acc
+    lat = _lat(m, lattice)
+    return rank_sum(lat, _chow_upper_table(lat))
 
 
 def aug_chow_alt_conv(m, lattice=None):
     """H_M = 1 + x * sum over proper flats of uH(M/F)."""
-    core = _loopless_core(m)
-    lat = _lat(core, lattice if core is m else None)
+    lat = _lat(m, lattice)
     table = _chow_upper_table(lat)
     acc = ZERO
     for f in range(lat.size):
@@ -284,48 +216,14 @@ def aug_chow_alt_conv(m, lattice=None):
 
 def aug_chow_mobius_conv(m, lattice=None):
     """H_M = -sum over nonempty flats of mu(0, F)(1 + ... + x^rk(F)) H(M/F)."""
-    core = _loopless_core(m)
-    lat = _lat(core, lattice if core is m else None)
-    table = lat._cache.get("aug_upper_mobius")
-    if table is None:
-        table = [None] * lat.size
-        order = sorted(range(lat.size), key=lambda i: (-lat.ranks[i], i))
-        for z in order:
-            if z == lat.top:
-                table[z] = ONE
-                continue
-            rz = lat.ranks[z]
-            acc = ZERO
-            for g in lat.above[z]:
-                mu = mobius(lat, z, g)
-                if mu:
-                    acc = acc + (mu * ones(lat.ranks[g] - rz + 1)) * table[g]
-            table[z] = -acc
-        lat._cache["aug_upper_mobius"] = table
-    return table[lat.bottom]
+    lat = _lat(m, lattice)
+    return interval_dp(lat, "aug_upper_mobius", True, _mobius_term(lat), _negate)[lat.bottom]
 
 
 def aug_chow_incidence_inv(m, lattice=None):
     """H_M = -sum_{F != E} H(M|F) * mu(F, E)(1 + ... + x^(rk M - rk F))."""
-    core = _loopless_core(m)
-    lat = _lat(core, lattice if core is m else None)
-    table = lat._cache.get("aug_lower_mobius")
-    if table is None:
-        table = [None] * lat.size
-        order = sorted(range(lat.size), key=lambda i: (lat.ranks[i], i))
-        for z in order:
-            if z == lat.bottom:
-                table[z] = ONE
-                continue
-            rz = lat.ranks[z]
-            acc = ZERO
-            for g in set_of(lat.down_mask[z]):
-                mu = mobius(lat, g, z)
-                if mu:
-                    acc = acc + (mu * ones(rz - lat.ranks[g] + 1)) * table[g]
-            table[z] = -acc
-        lat._cache["aug_lower_mobius"] = table
-    return table[lat.top]
+    lat = _lat(m, lattice)
+    return interval_dp(lat, "aug_lower_mobius", False, _mobius_term(lat), _negate)[lat.top]
 
 
 # -- semi-small deletion engines ------------------------------------------------
@@ -333,7 +231,7 @@ def aug_chow_incidence_inv(m, lattice=None):
 
 def _s_families(m, lat, i):
     """Flats F avoiding i with F union {i} a flat and F strictly inside
-    E - i; returns (with-empty-set, without-empty-set) id lists as masks."""
+    E - i, as masks."""
     bit = 1 << i
     rest = m.full_mask ^ bit
     out = []
@@ -621,60 +519,34 @@ def chow_braid(n):
 # -- Kazhdan-Lusztig and Z engines ---------------------------------------------------
 
 
+def _kl_truncate(s, rho):
+    """[x^(rho - j)] s for j < rho / 2: the Kazhdan-Lusztig polynomial of
+    rank rho read off its characteristic-polynomial recursion."""
+    return Poly([s.coeff(rho - j) for j in range((rho + 1) // 2)])
+
+
 def _kl_upper_table(lat):
     """Kazhdan-Lusztig polynomial of every upper interval [F, top] by the
     characteristic-polynomial recursion: with
     R(x) = sum_{G > F} chi([F,G]) P[G] and rho the interval rank,
     P[F] has coefficients [x^(rho - j)] R for j < rho/2."""
-    table = lat._cache.get("kl_upper")
-    if table is None:
-        table = [None] * lat.size
-        order = sorted(range(lat.size), key=lambda i: (-lat.ranks[i], i))
-        for z in order:
-            if z == lat.top:
-                table[z] = ONE
-                continue
-            rho = lat.ranks[lat.top] - lat.ranks[z]
-            acc = ZERO
-            for g in lat.above[z]:
-                acc = acc + interval_char_poly(lat, z, g) * table[g]
-            half = (rho - 1) // 2 if rho % 2 else rho // 2 - 1
-            table[z] = Poly([acc.coeff(rho - j) for j in range(half + 1)])
-        lat._cache["kl_upper"] = table
-    return table
+    rk = lat.ranks[lat.top]
+    return interval_dp(
+        lat, "kl_upper", True,
+        lambda x, y, t: interval_char_poly(lat, x, y) * t,
+        lambda z, s: _kl_truncate(s, rk - lat.ranks[z]),
+    )
 
 
 def kl_poly(m, method="epw", lattice=None):
     """Kazhdan-Lusztig polynomial of a matroid (zero when there are loops)."""
-    if method not in KL_METHODS:
-        raise ValueError("unknown kl method %r" % method)
-    if not m.is_loopless():
-        return ZERO
-    if method == "bv_deletion":
-        return kl_bv_deletion(m)
-    if method == "uniform_fast":
-        if not m.is_uniform():
-            raise ValueError("uniform_fast needs a uniform matroid")
-        return kl_uniform(m.rank, m.n)
-    lat = _lat(m, lattice)
-    if method == "epw":
-        return _kl_upper_table(lat)[lat.bottom]
-    return kls_P_general(lat)
+    engine = _engine("kl", method)
+    return engine(m, lattice, None) if m.is_loopless() else ZERO
 
 
 def z_poly(m, method="conv_def", lattice=None):
     """Z-polynomial of a matroid (loops are deleted first)."""
-    if method not in Z_METHODS:
-        raise ValueError("unknown z method %r" % method)
-    core = _loopless_core(m)
-    if method == "bv_deletion":
-        return z_bv_deletion(core)
-    lat = _lat(core, lattice if core is m else None)
-    table = _kl_upper_table(lat)
-    acc = ZERO
-    for f in range(lat.size):
-        acc = acc + table[f].shift(lat.ranks[f])
-    return acc
+    return _engine("z", method)(m, lattice, None)
 
 
 def tau(m, lattice=None):
@@ -699,8 +571,7 @@ def kl_uniform(k, n):
     acc = (X - ONE) * chibar_uniform(k, n)
     for r in range(1, k):
         acc = acc + comb(n, r) * (X - ONE) ** r * kl_uniform(k - r, n - r)
-    half = (k - 1) // 2 if k % 2 else k // 2 - 1
-    return Poly([acc.coeff(k - j) for j in range(half + 1)])
+    return _kl_truncate(acc, k)
 
 
 def z_uniform(k, n):
@@ -813,35 +684,31 @@ def _gamma_entry(name, poly, center):
     return GammaEntry(name, poly, center, g, all(c >= 0 for c in g.coeffs))
 
 
+def _gamma_report(k, uh, h, z):
+    return GammaReport([
+        _gamma_entry("chow", uh, max(k - 1, 0)),
+        _gamma_entry("augchow", h, k),
+        _gamma_entry("z", z, k),
+    ])
+
+
 def certify_gamma(m, lattice=None):
     """Gamma vectors of uH (center rk-1), H (center rk) and Z (center rk),
     with nonnegativity flags; a failure is reported, not raised."""
     if not m.is_loopless():
         raise ValueError("gamma certification needs a loopless matroid")
     lat = _lat(m, lattice)
-    k = m.rank
     uh = chow_char_conv(m, lat)
     h = aug_chow_contraction_conv(m, lat)
-    z = z_poly(m, "conv_def", lat)
-    report = GammaReport()
-    report.entries.append(_gamma_entry("chow", uh, max(k - 1, 0)))
-    report.entries.append(_gamma_entry("augchow", h, k))
-    report.entries.append(_gamma_entry("z", z, k))
-    return report
+    return _gamma_report(m.rank, uh, h, z_poly(m, "conv_def", lat))
 
 
 def certify_gamma_poset(p):
     """Gamma certification of the Chow-type and Z-type polynomials of a
     general bounded graded poset; this is where counterexamples live."""
-    k = p.ranks[p.top]
     uh = kls_uH_general(p)
     h = kls_H_general(p)
-    z = kls_Z_general(p)
-    report = GammaReport()
-    report.entries.append(_gamma_entry("chow", uh, max(k - 1, 0)))
-    report.entries.append(_gamma_entry("augchow", h, k))
-    report.entries.append(_gamma_entry("z", z, k))
-    return report
+    return _gamma_report(p.ranks[p.top], uh, h, kls_Z_general(p))
 
 
 @dataclass
@@ -910,8 +777,6 @@ def hrs_identity(k, n, check_direct=None):
     if check_direct is None:
         check_direct = n <= 7
     if check_direct:
-        from .poset import bergman_f_h
-
         _, h_direct = bergman_f_h(uniform(k, n))
         if h_direct != h:
             raise RuntimeError(
@@ -937,88 +802,128 @@ def _has_uniform_plus_coloop_form(m):
     return None
 
 
-def applicable_methods(m, kind, braid_n=None, deletion_limit=DELETION_ENGINE_LIMIT):
-    """Method ids applicable to a given matroid, in canonical order."""
-    if kind not in KINDS:
+# -- the method registry ----------------------------------------------------------
+#
+# METHODS[kind][method] = (engine, applies).  `engine(m, lattice, braid_n)`
+# runs the method and raises ValueError where it cannot; `applicable_methods`
+# lists it when `applies` is None or `applies(m, braid_n)` holds.  Each
+# kind's methods are in the canonical order of the reports.
+
+
+def _uniform_form(form, method):
+    def engine(m, lattice, braid_n):
+        if not m.is_uniform():
+            raise ValueError("%s needs a uniform matroid" % method)
+        return form(m.rank, m.n)
+
+    return engine
+
+
+def _braid_closed(m, lattice, braid_n):
+    if braid_n is None:
+        raise ValueError("braid_closed needs the number of vertices")
+    return chow_braid(braid_n)
+
+
+def _coloop_closed(m, lattice, braid_n):
+    form = _has_uniform_plus_coloop_form(m)
+    if form is None:
+        raise ValueError("coloop_closed needs a uniform matroid plus a coloop")
+    return aug_chow_uniform_coloop(*form)
+
+
+def _kl_epw(m, lattice, braid_n):
+    lat = _lat(m, lattice)
+    return _kl_upper_table(lat)[lat.bottom]
+
+
+def _z_conv_def(m, lattice, braid_n):
+    lat = _lat(m, lattice)
+    return rank_sum(lat, _kl_upper_table(lat))
+
+
+def _small(m, braid_n):
+    return m.n <= DELETION_ENGINE_LIMIT
+
+
+def _uniform(m, braid_n):
+    return m.is_uniform()
+
+
+def _paving(m, braid_n):
+    return m.is_loopless() and m.rank >= 1 and m.is_paving()
+
+
+METHODS = {
+    "chow": {
+        "chains": (lambda m, lat, b: chow_chains(m, lat), None),
+        "char_conv": (lambda m, lat, b: chow_char_conv(m, lat), None),
+        "intrinsic": (lambda m, lat, b: chow_intrinsic(m, lat), None),
+        "incidence_inv": (lambda m, lat, b: chow_incidence_inv(m, lat), None),
+        "semismall": (lambda m, lat, b: chow_semismall(m), _small),
+        "uniform_closed": (_uniform_form(chow_uniform, "uniform_closed"), _uniform),
+        "paving": (lambda m, lat, b: chow_of_paving(m), _paving),
+        "braid_closed": (_braid_closed, lambda m, braid_n: braid_n is not None),
+    },
+    "augchow": {
+        "chains": (lambda m, lat, b: aug_chow_chains(m, lat), None),
+        "contraction_conv": (lambda m, lat, b: aug_chow_contraction_conv(m, lat), None),
+        "alt_conv": (lambda m, lat, b: aug_chow_alt_conv(m, lat), None),
+        "mobius_conv": (lambda m, lat, b: aug_chow_mobius_conv(m, lat), None),
+        "intrinsic": (lambda m, lat, b: aug_chow_intrinsic(m, lat), None),
+        "incidence_inv": (lambda m, lat, b: aug_chow_incidence_inv(m, lat), None),
+        "semismall": (lambda m, lat, b: aug_chow_semismall(m), _small),
+        "uniform_closed": (_uniform_form(aug_chow_uniform, "uniform_closed"), _uniform),
+        "paving": (lambda m, lat, b: aug_chow_of_paving(m), _paving),
+        "coloop_closed": (
+            _coloop_closed,
+            lambda m, braid_n: _has_uniform_plus_coloop_form(m) is not None,
+        ),
+    },
+    "kl": {  # kl_poly answers 0 for matroids with loops before any engine runs
+        "epw": (_kl_epw, None),
+        "intrinsic": (lambda m, lat, b: kls_P_general(_lat(m, lat)), None),
+        "bv_deletion": (lambda m, lat, b: kl_bv_deletion(m), _small),
+        "uniform_fast": (_uniform_form(kl_uniform, "uniform_fast"), _uniform),
+    },
+    "z": {
+        "conv_def": (_z_conv_def, None),
+        "bv_deletion": (lambda m, lat, b: z_bv_deletion(m), _small),
+    },
+}
+KINDS = {kind: tuple(methods) for kind, methods in METHODS.items()}
+CHOW_METHODS, AUGCHOW_METHODS, KL_METHODS, Z_METHODS = KINDS.values()
+
+
+def _engine(kind, method):
+    if kind not in METHODS:
         raise ValueError("unknown kind %r" % kind)
-    loopless = m.is_loopless()
-    paving = loopless and m.rank >= 1 and m.is_paving()
-    out = []
-    for method in KINDS[kind]:
-        if method in ("semismall", "bv_deletion"):
-            if m.n <= deletion_limit:
-                out.append(method)
-        elif method in ("uniform_closed", "uniform_fast"):
-            if m.is_uniform():
-                out.append(method)
-        elif method == "paving":
-            if paving:
-                out.append(method)
-        elif method == "braid_closed":
-            if braid_n is not None:
-                out.append(method)
-        elif method == "coloop_closed":
-            if _has_uniform_plus_coloop_form(m):
-                out.append(method)
-        else:
-            out.append(method)
-    return out
+    if method not in METHODS[kind]:
+        raise ValueError("unknown %s method %r" % (kind, method))
+    return METHODS[kind][method][0]
+
+
+def applicable_methods(m, kind, braid_n=None):
+    """Method ids applicable to a given matroid, in canonical order."""
+    if kind not in METHODS:
+        raise ValueError("unknown kind %r" % kind)
+    return [
+        name
+        for name, (_, applies) in METHODS[kind].items()
+        if applies is None or applies(m, braid_n)
+    ]
 
 
 def compute_invariant(m, kind, method, braid_n=None, lattice=None):
-    """Run one named method; raises ValueError when it does not apply."""
-    if kind == "chow":
-        if method == "chains":
-            return chow_chains(m, lattice)
-        if method == "char_conv":
-            return chow_char_conv(m, lattice)
-        if method == "intrinsic":
-            return chow_intrinsic(m, lattice)
-        if method == "incidence_inv":
-            return chow_incidence_inv(m, lattice)
-        if method == "semismall":
-            return chow_semismall(m)
-        if method == "uniform_closed":
-            if not m.is_uniform():
-                raise ValueError("uniform_closed needs a uniform matroid")
-            return chow_uniform(m.rank, m.n)
-        if method == "paving":
-            return chow_of_paving(m)
-        if method == "braid_closed":
-            if braid_n is None:
-                raise ValueError("braid_closed needs the number of vertices")
-            return chow_braid(braid_n)
-    elif kind == "augchow":
-        if method == "chains":
-            return aug_chow_chains(m, lattice)
-        if method == "contraction_conv":
-            return aug_chow_contraction_conv(m, lattice)
-        if method == "alt_conv":
-            return aug_chow_alt_conv(m, lattice)
-        if method == "mobius_conv":
-            return aug_chow_mobius_conv(m, lattice)
-        if method == "intrinsic":
-            return aug_chow_intrinsic(m, lattice)
-        if method == "incidence_inv":
-            return aug_chow_incidence_inv(m, lattice)
-        if method == "semismall":
-            return aug_chow_semismall(m)
-        if method == "uniform_closed":
-            if not m.is_uniform():
-                raise ValueError("uniform_closed needs a uniform matroid")
-            return aug_chow_uniform(m.rank, m.n)
-        if method == "paving":
-            return aug_chow_of_paving(m)
-        if method == "coloop_closed":
-            form = _has_uniform_plus_coloop_form(m)
-            if form is None:
-                raise ValueError("coloop_closed needs a uniform matroid plus a coloop")
-            return aug_chow_uniform_coloop(*form)
-    elif kind == "kl":
+    """Run one named method; raises ValueError when it does not apply.  A
+    lattice passed along with a matroid that has loops is that of its
+    loopless core.  KL and Z methods run through `kl_poly` and `z_poly`,
+    so those stay the one entry point of their kinds."""
+    if kind == "kl":
         return kl_poly(m, method, lattice)
-    elif kind == "z":
+    if kind == "z":
         return z_poly(m, method, lattice)
-    raise ValueError("unknown kind/method %r/%r" % (kind, method))
+    return _engine(kind, method)(m, lattice, braid_n)
 
 
 @dataclass
@@ -1046,8 +951,7 @@ class InvariantReport:
 
 
 def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
-                     deletion_limit=DELETION_ENGINE_LIMIT, lattice=None,
-                     deadline=None):
+                     lattice=None, deadline=None):
     """Run one or all applicable methods for a kind and compare the results.
 
     `deadline` is an absolute time.monotonic() stamp; exceeding it between
@@ -1056,14 +960,14 @@ def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
     if kind not in KINDS:
         raise ValueError("unknown kind %r" % kind)
     if method == "all":
-        methods = applicable_methods(m, kind, braid_n, deletion_limit)
+        methods = applicable_methods(m, kind, braid_n)
     else:
         if method not in KINDS[kind]:
             raise ValueError("method %r is not a %s method" % (method, kind))
         methods = [method]
-    lat = lattice
-    if lat is None and m.is_loopless():
-        lat = lattice_of_flats(m)
+    # one lattice, of the loopless core, for every method; with loops uH and P are 0
+    build = lattice is None and (m.is_loopless() or kind in ("augchow", "z"))
+    lat = _lat(m) if build else lattice
     results = {}
     seconds = {}
     for name in methods:

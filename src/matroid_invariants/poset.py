@@ -3,13 +3,18 @@ interval engines that compute Chow-type and Kazhdan-Lusztig-type
 polynomials on any finite bounded graded poset.
 
 Both `GradedPoset` and `FlatsLattice` expose the same small interface used
-by the engines: `size`, `ranks[i]`, `above[i]` (ids strictly above i,
-ascending by rank), `bottom`, `top`, `leq(i, j)`, and the order relation as
-int bitsets over ids, `up_mask[i]` (ids strictly above i) and
-`down_mask[i]` (ids strictly below i).  Interval data (Moebius numbers,
-interval characteristic polynomials, the per-interval polynomial tables)
-is cached on the object after first use; instances are immutable apart
-from those caches.
+by the engines: `size`, `ranks[i]`, `order` (all ids in increasing rank
+order), `above[i]` (ids strictly above i, ascending by rank), `bottom`,
+`top`, `leq(i, j)`, and the order relation as int bitsets over ids,
+`up_mask[i]` (ids strictly above i) and `down_mask[i]` (ids strictly below
+i).  Interval data (Moebius numbers, interval characteristic polynomials,
+the per-interval polynomial tables) is cached on the object after first
+use; instances are immutable apart from those caches.
+
+Every per-interval table, here and in `invariants`, is one `interval_dp`:
+the value at an element is a sum over the elements strictly above (or
+below) it of a kernel of the interval between them times the value there,
+followed by a finishing step.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ class GradedPoset:
             raise ValueError("bottom element must have rank 0")
         self.ranks = ranks
         self.size = m
+        self.order = order
         self.up_mask = up_mask
         self.down_mask = down_mask
         self.above = [sorted(set_of(a), key=lambda j: (ranks[j], j)) for a in up_mask]
@@ -129,13 +135,14 @@ class FlatsLattice:
         self.size = len(flats)
         self.index = index = {f: i for i, f in enumerate(flats)}
         self.ranks = tuple(r for r, flats_r in enumerate(by_rank) for _ in flats_r)
+        self.order = range(self.size)  # ids are numbered by rank
         self.by_rank = [[index[f] for f in flats_r] for flats_r in by_rank]
         self.bottom = 0
         self.top = self.size - 1
         covers_up = [0] * self.size
         for f, ups in covers.items():
             covers_up[index[f]] = mask_of(index[g] for g in ups)
-        self.up_mask, self.down_mask = _order_masks(covers_up, range(self.size))
+        self.up_mask, self.down_mask = _order_masks(covers_up, self.order)
         self.above = [set_of(a) for a in self.up_mask]
         self._cache = {}
 
@@ -257,19 +264,15 @@ def bergman_f_h(matroid, lattice=None):
     if k < 1:
         raise ValueError("Bergman complex needs rank at least 1")
     lat = lattice if lattice is not None else FlatsLattice(matroid)
-    counts = [0] * k  # counts[j] = number of chains with j proper nonempty flats
-    counts[0] = 1
-    proper = [i for i in range(lat.size) if i not in (lat.bottom, lat.top)]
-
-    def extend(i, depth):
-        counts[depth] += 1
-        for j in lat.above[i]:
-            if j != lat.top and depth + 1 < k:
-                extend(j, depth + 1)
-
-    for i in proper:
-        extend(i, 1)
-    f = Poly([counts[k - 1 - e] for e in range(k)])
+    # c[F] = x(1 + sum of c[G] over proper flats G > F): x^(j+1) in
+    # c[bottom] counts the chains of j proper nonempty flats
+    top = lat.top
+    c = interval_dp(
+        lat, "proper_chains", True,
+        lambda lo, hi, t: ZERO if hi == top else t,
+        lambda z, s: (ONE + s).shift(1),
+    )
+    f = Poly([c[lat.bottom].coeff(k - e) for e in range(k)])
     return f, _compose_x_minus_1(f)
 
 
@@ -288,8 +291,45 @@ def _compose_x_minus_1(f):
 # -- generic interval engines -------------------------------------------------
 
 
-def _decreasing_rank_order(p):
-    return sorted(range(p.size), key=lambda i: (-p.ranks[i], i))
+def interval_dp(p, name, upward, term, finish=None):
+    """Table over all elements of p, cached as `p._cache[name]`.
+
+    Going up, the top gets ONE and every other z gets
+    finish(z, sum over w > z of term(z, w, table[w])); going down, the
+    bottom gets ONE and z gets finish(z, sum over w < z of
+    term(w, z, table[w])).  So `term(x, y, value)` always sees the interval
+    [x, y] in order, and `value` is the entry at its end other than z.
+    Without `finish` the sum itself is stored.  The sum is one pass over the
+    comparable pairs, accumulated in a coefficient list.
+    """
+    table = p._cache.get(name)
+    if table is not None:
+        return table
+    table = [None] * p.size
+    if upward:
+        end, ids = p.top, reversed(p.order)
+    else:
+        end, ids = p.bottom, p.order
+    for z in ids:
+        if z == end:
+            table[z] = ONE
+            continue
+        acc = []
+        for w in (p.above[z] if upward else set_of(p.down_mask[z])):
+            t = term(z, w, table[w]) if upward else term(w, z, table[w])
+            cs = t.coeffs
+            if len(cs) > len(acc):
+                acc.extend([0] * (len(cs) - len(acc)))
+            for d, c in enumerate(cs):
+                acc[d] += c
+        table[z] = Poly(acc) if finish is None else finish(z, Poly(acc))
+    p._cache[name] = table
+    return table
+
+
+def rank_sum(p, table):
+    """sum over elements F of x^rk(F) * table[F]."""
+    return sum((table[f].shift(r) for f, r in enumerate(p.ranks)), ZERO)
 
 
 def chow_table(p):
@@ -297,43 +337,26 @@ def chow_table(p):
     [z, top], via the symmetric-decomposition recursion: with
     S(x) = sum_{F > z} x^(rk F - rk z) * table[F], split S = a + b into its
     palindromic parts and take -b."""
-    table = p._cache.get("chow_table")
-    if table is None:
-        table = [None] * p.size
-        for z in _decreasing_rank_order(p):
-            if z == p.top:
-                table[z] = ONE
-                continue
-            rz = p.ranks[z]
-            s = ZERO
-            for f in p.above[z]:
-                s = s + table[f].shift(p.ranks[f] - rz)
-            _, b = palindromic_decompose(s)
-            table[z] = -b
-        p._cache["chow_table"] = table
-    return table
+    return interval_dp(
+        p, "chow_table", True,
+        lambda x, y, t: t.shift(p.ranks[y] - p.ranks[x]),
+        lambda z, s: -palindromic_decompose(s)[1],
+    )
 
 
 def kl_table(p):
     """Per-element Kazhdan-Lusztig-type table for upper intervals [z, top]:
     with S(x) = sum_{F > z} x^(rk F - rk z) * table[F] and rho the interval
     rank, the coefficients are p_j = s_(rho - j) - s_j for j < rho / 2."""
-    table = p._cache.get("kl_table")
-    if table is None:
-        table = [None] * p.size
-        for z in _decreasing_rank_order(p):
-            if z == p.top:
-                table[z] = ONE
-                continue
-            rz = p.ranks[z]
-            rho = p.ranks[p.top] - rz
-            s = ZERO
-            for f in p.above[z]:
-                s = s + table[f].shift(p.ranks[f] - rz)
-            half = (rho - 1) // 2 if rho % 2 else rho // 2 - 1
-            table[z] = Poly([s.coeff(rho - j) - s.coeff(j) for j in range(half + 1)])
-        p._cache["kl_table"] = table
-    return table
+    rk = p.ranks[p.top]
+
+    def finish(z, s):
+        rho = rk - p.ranks[z]
+        return Poly([s.coeff(rho - j) - s.coeff(j) for j in range((rho + 1) // 2)])
+
+    return interval_dp(
+        p, "kl_table", True, lambda x, y, t: t.shift(p.ranks[y] - p.ranks[x]), finish
+    )
 
 
 def kls_uH_general(p):
@@ -343,11 +366,7 @@ def kls_uH_general(p):
 
 def kls_H_general(p):
     """Augmented Chow-type polynomial: sum_F x^rk(F) * uH of [F, top]."""
-    table = chow_table(p)
-    acc = ZERO
-    for f in range(p.size):
-        acc = acc + table[f].shift(p.ranks[f])
-    return acc
+    return rank_sum(p, chow_table(p))
 
 
 def kls_P_general(p):
@@ -357,8 +376,4 @@ def kls_P_general(p):
 
 def kls_Z_general(p):
     """Z-type polynomial: sum_F x^rk(F) * P of [F, top]."""
-    table = kl_table(p)
-    acc = ZERO
-    for f in range(p.size):
-        acc = acc + table[f].shift(p.ranks[f])
-    return acc
+    return rank_sum(p, kl_table(p))

@@ -18,10 +18,13 @@ from matroid_invariants.poly import (
     binomial_eulerian,
     eulerian,
     gamma_vector,
+    ones,
 )
 from matroid_invariants.poset import interval_chibar, lattice_of_flats
 from matroid_invariants.invariants import (
+    KINDS,
     applicable_methods,
+    compute_invariant,
     aug_chow_alt_conv,
     aug_chow_chains,
     aug_chow_contraction_conv,
@@ -90,16 +93,37 @@ def test_aug_chow_chains_examples():
     assert aug_chow_chains(vamos()) == Poly([1, 78, 234, 78, 1])
 
 
-def test_chains_complexity_warning(monkeypatch):
-    monkeypatch.setenv("MATROID_MAX_FLATS", "10")
-    with pytest.warns(RuntimeWarning):
-        chow_chains(uniform(3, 5))
-    monkeypatch.setenv("MATROID_MAX_FLATS", "10000")
-    import warnings
+def _chain_sum_by_enumeration(lat, starts):
+    """Literal chain enumeration: the sum over (start, factor) pairs of the
+    chains of flats leaving `start`, each weighted by `factor` times
+    x + ... + x^(gap - 1) per rank gap; gaps of 1 give zero and are pruned."""
+    acc = ZERO
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        chow_chains(uniform(3, 5))
+    def walk(i, prod):
+        nonlocal acc
+        acc = acc + prod
+        for j in lat.above[i]:
+            gap = lat.ranks[j] - lat.ranks[i]
+            if gap >= 2:
+                walk(j, prod * ones(gap - 1).shift(1))
+
+    for start, factor in starts:
+        walk(start, factor)
+    return acc
+
+
+def test_chain_engines_match_enumeration(small_corpus, store):
+    names = [name for name, _, _ in small_corpus]
+    assert {"boolean:%d" % n for n in range(8)} <= set(names)
+    for name, m, _ in small_corpus:
+        lat = store.lattice(m)
+        assert chow_chains(m, lat) == _chain_sum_by_enumeration(
+            lat, [(lat.bottom, ONE)]
+        ), name
+        nonempty = [(f, ones(r).shift(1)) for f, r in enumerate(lat.ranks) if r > 0]
+        assert aug_chow_chains(m, lat) == ONE + _chain_sum_by_enumeration(
+            lat, nonempty
+        ), name
 
 
 # -- convolution engines ---------------------------------------------------------------
@@ -441,6 +465,123 @@ def test_applicable_methods_respects_kind():
         applicable_methods(uniform(2, 4), "nope")
     with pytest.raises(ValueError):
         invariant_report(uniform(2, 4), "chow", "epw")
+
+
+# matroid -> kind -> applicable methods, in canonical order
+APPLICABLE = {
+    "uniform:4,8": {
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall",
+                 "uniform_closed", "paving"],
+        "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
+                    "incidence_inv", "semismall", "uniform_closed", "paving"],
+        "kl": ["epw", "intrinsic", "bv_deletion", "uniform_fast"],
+        "z": ["conv_def", "bv_deletion"],
+    },
+    "uniform+coloop:3,4": {
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall", "paving"],
+        "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
+                    "incidence_inv", "semismall", "paving", "coloop_closed"],
+        "kl": ["epw", "intrinsic", "bv_deletion"],
+        "z": ["conv_def", "bv_deletion"],
+    },
+    "braid:4": {
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall", "paving",
+                 "braid_closed"],
+        "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
+                    "incidence_inv", "semismall", "paving"],
+        "kl": ["epw", "intrinsic", "bv_deletion"],
+        "z": ["conv_def", "bv_deletion"],
+    },
+    "vamos": {
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall", "paving"],
+        "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
+                    "incidence_inv", "semismall", "paving"],
+        "kl": ["epw", "intrinsic", "bv_deletion"],
+        "z": ["conv_def", "bv_deletion"],
+    },
+    "boolean:10": {
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "uniform_closed",
+                 "paving"],
+        "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
+                    "incidence_inv", "uniform_closed", "paving", "coloop_closed"],
+        "kl": ["epw", "intrinsic", "uniform_fast"],
+        "z": ["conv_def"],
+    },
+    "loopy": {
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall"],
+        "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
+                    "incidence_inv", "semismall"],
+        "kl": ["epw", "intrinsic", "bv_deletion"],
+        "z": ["conv_def", "bv_deletion"],
+    },
+}
+
+
+def _pinned_matroids():
+    return {
+        "uniform:4,8": (uniform(4, 8), None),
+        "uniform+coloop:3,4": (uniform(3, 4).add_coloop(), None),
+        "braid:4": (complete_graph(4), 4),
+        "vamos": (vamos(), None),
+        "boolean:10": (boolean(10), None),
+        "loopy": (uniform(3, 5).direct_sum(uniform(0, 1)), None),
+    }
+
+
+def test_applicable_methods_pinned():
+    for name, (m, braid_n) in _pinned_matroids().items():
+        for kind, methods in APPLICABLE[name].items():
+            assert applicable_methods(m, kind, braid_n) == methods, (name, kind)
+
+
+def test_non_applicable_methods_raise():
+    needs = {
+        "uniform_closed": "uniform_closed needs a uniform matroid",
+        "uniform_fast": "uniform_fast needs a uniform matroid",
+        "braid_closed": "braid_closed needs the number of vertices",
+        "coloop_closed": "coloop_closed needs a uniform matroid plus a coloop",
+    }
+    raised = set()
+    for name, (m, braid_n) in _pinned_matroids().items():
+        for kind, methods in APPLICABLE[name].items():
+            for method in KINDS[kind]:
+                if method in methods or method not in needs:
+                    continue
+                if name == "loopy" and method == "uniform_fast":
+                    continue  # P vanishes with loops, before any check
+                with pytest.raises(ValueError) as info:
+                    compute_invariant(m, kind, method, braid_n)
+                assert str(info.value) == needs[method], (name, kind, method)
+                raised.add(method)
+    assert raised == set(needs)
+    # the paving engines and uniform_fast still answer for a matroid with loops
+    m = uniform(3, 5).direct_sum(uniform(0, 1))
+    assert compute_invariant(m, "chow", "paving") == ZERO
+    assert compute_invariant(m, "augchow", "paving") == Poly([1, 16, 16, 1])
+    assert compute_invariant(m, "kl", "uniform_fast") == ZERO
+    assert compute_invariant(uniform(0, 2).add_coloop(), "kl", "uniform_fast") == ZERO
+    with pytest.raises(ValueError, match="not paving"):
+        compute_invariant(uniform(2, 3).direct_sum(uniform(2, 3)), "chow", "paving")
+
+
+def test_invariant_report_builds_one_lattice_with_loops(monkeypatch):
+    from matroid_invariants import poset
+
+    builds = []
+    init = poset.FlatsLattice.__init__
+
+    def counting_init(self, matroid):
+        builds.append(matroid)
+        init(self, matroid)
+
+    monkeypatch.setattr(poset.FlatsLattice, "__init__", counting_init)
+    m = uniform(3, 9).direct_sum(uniform(0, 1))
+    r = invariant_report(m, "augchow")
+    assert r.agree and len(r.results) == 6
+    assert builds == [uniform(3, 9)]
+    builds.clear()
+    assert invariant_report(m, "chow").results["char_conv"] == ZERO
+    assert builds == []  # uH vanishes with loops: no lattice needed
 
 
 def test_degree_and_symmetry_contracts(small_corpus, store):
