@@ -530,10 +530,14 @@ def cmd_hrs(args):
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _add_common(sub, jobs=False, timeout=False):
+    """--json on every subcommand; --jobs and --timeout-secs only where read,
+    so any other subcommand rejects them as a usage error."""
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sub.add_argument("--timeout-secs", type=float, default=0, help="soft time budget")
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    if timeout:
+        sub.add_argument("--timeout-secs", type=float, default=0, help="soft time budget")
 
 
 def build_parser():
@@ -544,13 +548,13 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("kind", choices=sorted(KINDS))
     p.add_argument("method")
-    _add_common(p)
+    _add_common(p, timeout=True)
     p.set_defaults(func=cmd_invariant)
 
     p = subs.add_parser("crosscheck", help="run all methods for a kind (invariant ... all)")
     p.add_argument("spec")
     p.add_argument("kind", choices=sorted(KINDS))
-    _add_common(p)
+    _add_common(p, timeout=True)
     p.set_defaults(func=cmd_invariant, method="all")
 
     p = subs.add_parser("certify", help="run certification checks")
@@ -587,7 +591,7 @@ def build_parser():
     p.add_argument("--lambda-min", type=int, default=0, dest="lambda_min")
     p.add_argument("--lambda-max", type=int, default=None, dest="lambda_max")
     p.add_argument("--certify", default="gamma,real-rooted")
-    _add_common(p)
+    _add_common(p, jobs=True, timeout=True)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("hrs", help="h-polynomial identity grid for uniform matroids")

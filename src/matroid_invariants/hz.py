@@ -9,6 +9,17 @@ polynomial of the vector is
 
     sum over e of (1 + x)^col(e) * x^asc(e).
 
+It is computed by refining the sum by the last entry (the Haglund-Zhang
+refinement), as a transfer matrix: f[a] is the polynomial of the prefixes
+e_0..e_i with e_i = a.  Each padded pair contributes x on an ascent, 1 + x
+on a collision and 1 on a descent, so with s = s_i and s' = s_{i+1}
+
+    f'[b] = (sum_a f[a] - sum_{a s' < b s} f[a]) + x sum_{a s' <= b s} f[a],
+
+two prefix sums over a.  The cost is O(sum s_i) polynomial additions, not
+one term per sequence; the literal enumeration over all prod s_i sequences
+is kept as the test oracle.
+
 The consecutive-integer specialization s = (n-k+2, ..., n) reproduces the
 augmented Chow polynomial of the uniform matroid U_{k,n}; by convention the
 empty vector (k = 1) gives x + 1 and k = 0 gives 1.
@@ -17,10 +28,9 @@ empty vector (k = 1) gives x + 1 and k = 0 gives 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb
 
-from .poly import ONE, X, ZERO, eulerian
+from .poly import ONE, X, ZERO, Poly, eulerian
 
 
 def hz_poly(s):
@@ -28,22 +38,21 @@ def hz_poly(s):
     s = tuple(s)
     if any(v <= 0 for v in s):
         raise ValueError("entries of s must be positive integers")
-    padded = (1,) + s + (1,)
-    n = len(s)
-    powers = [(ONE + X) ** c for c in range(n + 2)]
-    acc = ZERO
-    for e in product(*(range(v) for v in s)):
-        seq = (0,) + e + (0,)
-        asc = col = 0
-        for i in range(n + 1):
-            lhs = seq[i] * padded[i + 1]
-            rhs = seq[i + 1] * padded[i]
-            if lhs < rhs:
-                asc += 1
-            elif lhs == rhs:
-                col += 1
-        acc = acc + powers[col].shift(asc)
-    return acc
+    width = len(s) + 2  # n + 1 padded pairs, each raising the degree by at most 1
+    f = [[1] + [0] * (width - 1)]  # e_0 = 0 with s_0 = 1
+    prev = 1
+    for cur in s + (1,):
+        prefix = [[0] * width]  # prefix[j] = f[0] + ... + f[j-1]
+        for row in f:
+            prefix.append([p + c for p, c in zip(prefix[-1], row)])
+        total = prefix[-1]
+        f = []
+        for b in range(cur):
+            below = prefix[-(-b * prev // cur)]  # the a with a cur < b prev
+            upto = prefix[b * prev // cur + 1]  # the a with a cur <= b prev
+            f.append([t - lo + up for t, lo, up in zip(total, below, [0] + upto)])
+        prev = cur
+    return Poly(f[0])
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +69,7 @@ def hz_uniform(k, n):
 
 
 def hz_recursion_check(k, n):
-    """Verify, purely by enumeration, the deletion-style recursion
+    """Verify the deletion-style recursion of the inversion-sequence polynomials
     E(k,n) = E(k-1,n-1) + x sum_{j<k} C(n-1,j) A_j(x) E(k-1-j, n-1-j)."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")

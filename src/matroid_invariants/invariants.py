@@ -340,7 +340,11 @@ def _ss_aug(m, memo_h, memo_u):
 
 # -- closed forms: uniform matroids ---------------------------------------------
 
+# uH and H of U_{k,n} and of U_{k,n} plus a coloop are memoized on (k, n):
+# the paving closed forms ask for the same few values for every lambda.
 
+
+@lru_cache(maxsize=None)
 def chow_uniform(k, n):
     """uH of the uniform matroid U_{k,n}:
     sum_{j<k} C(n,j) d_j(x) (1 + x + ... + x^(k-1-j))."""
@@ -353,6 +357,7 @@ def chow_uniform(k, n):
     return acc
 
 
+@lru_cache(maxsize=None)
 def aug_chow_uniform(k, n):
     """H of U_{k,n}: 1 + x sum_{j<k} C(n,j) A_j(x) (1 + ... + x^(k-1-j))."""
     _check_uniform_args(k, n)
@@ -400,6 +405,7 @@ def aug_chow_uniform_inverse(k, n):
     return acc
 
 
+@lru_cache(maxsize=None)
 def chow_uniform_coloop(k, n):
     """uH of U_{k,n} plus a coloop:
     (1+x) uH(U_{k,n}) + x sum_{j=1}^{k-1} C(n,j) uH(U_{k-j,n-j}) A_j(x)."""
@@ -413,6 +419,7 @@ def chow_uniform_coloop(k, n):
     return acc + extra.shift(1)
 
 
+@lru_cache(maxsize=None)
 def aug_chow_uniform_coloop(k, n):
     """H of U_{k,n} plus a coloop:
     (1+x) H(U_{k,n}) + x sum_{j=0}^{k-1} C(n,j) uH(U_{k-j,n-j}) At_j(x)."""

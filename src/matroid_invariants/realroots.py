@@ -1,10 +1,14 @@
 """Exact real-root certification: Sturm sequences, isolation, interlacing.
 
 Everything here runs on integers and `fractions.Fraction`; there is no
-floating point on any certification path.  Sturm chains are kept as
-primitive integer polynomials (each remainder is rescaled by a positive
-rational), which keeps the sign structure intact while avoiding the worst
-of rational coefficient swell.
+floating point on any certification path.  Sturm chains, gcds and squarefree
+parts are computed in Z[x] alone: each remainder is an integer
+pseudo-remainder, scaled at every step by a positive factor of the divisor's
+leading coefficient, and reduced to its primitive part.  Positive scaling
+keeps the sign structure, and a primitive part is the same whatever
+positive multiple it came from, so every chain entry is the primitive part
+of the remainder over Q.  Rationals appear only as evaluation points (root
+isolation and interlacing).
 """
 
 from __future__ import annotations
@@ -116,15 +120,63 @@ def _primitive(coeffs):
     return tuple(cs)
 
 
+def _pseudo_rem(a, b):
+    """A positive multiple of the remainder of a by b over Q, for integer
+    coefficient tuples a and b (b nonzero, without trailing zeros).
+
+    Each step cancels the top coefficient c of the running remainder r by
+    r <- (|lead b| / g) r - sign(lead b) (c / g) x^i b with g = gcd(c, lead b),
+    so only positive integer factors ever multiply r.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        scale, q = abs(lead) // g, c // g
+        if lead < 0:
+            q = -q
+        if scale != 1:
+            for j in range(i):
+                rem[j] *= scale
+        for j in range(db):
+            rem[i - db + j] -= q * b[j]
+        rem[i] = 0
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _exact_quotient(a, b):
+    """a / b in Z[x] when b is primitive and divides a over Q (Gauss's lemma
+    puts the quotient in Z[x], so every step divides exactly)."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quo = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c, r = divmod(rem[i], lead)
+        assert not r, "gcd failed to divide its polynomial"
+        if c:
+            quo[i - db] = c
+            for j, bj in enumerate(b):
+                rem[i - db + j] -= c * bj
+    assert not any(rem), "gcd failed to divide its polynomial"
+    return tuple(quo)
+
+
 def poly_gcd(a, b):
     """Gcd of two integer polynomials, primitive with positive leading coeff."""
-    fa, fb = RatPoly(_int_coeffs(a)), RatPoly(_int_coeffs(b))
+    fa, fb = _primitive(_int_coeffs(a)), _primitive(_int_coeffs(b))
     while fb:
-        fa, fb = fb, fa.divmod(fb)[1]
-    out = fa.primitive_int()
-    if out and out[-1] < 0:
-        out = tuple(-c for c in out)
-    return out
+        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
+    if fa and fa[-1] < 0:
+        fa = tuple(-c for c in fa)
+    return fa
 
 
 def squarefree_part(p):
@@ -135,25 +187,22 @@ def squarefree_part(p):
     g = poly_gcd(cs, _derivative(cs))
     if len(g) == 1:
         return cs
-    quo, rem = RatPoly(cs).divmod(RatPoly(g))
-    assert not rem, "gcd failed to divide its polynomial"
-    return quo.primitive_int()
+    return _primitive(_exact_quotient(cs, g))
 
 
 def sturm_chain(coeffs):
-    """Sturm chain of an integer polynomial, each entry primitive integer."""
+    """Sturm chain of an integer polynomial, each entry primitive integer.
+
+    The last entry is gcd(p, p') up to a nonzero constant."""
     s0 = _primitive(coeffs)
     if len(s0) <= 1:
         return [s0] if s0 else []
     chain = [s0, _primitive(_derivative(s0))]
-    while True:
-        rem = RatPoly(chain[-2]).divmod(RatPoly(chain[-1]))[1]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(_primitive(tuple(-c for c in rem.primitive_int())))
-        # primitive_int of -rem keeps the sign of -rem: positive scaling only
-        if len(chain[-1]) == 1:
-            break
+        chain.append(_primitive(tuple(-c for c in rem)))
     return chain
 
 
@@ -214,8 +263,11 @@ def cauchy_bound(coeffs):
 def real_rooted(p):
     """True iff every complex root of p is real (Sturm certificate).
 
-    Strategy: strip the x^m factor, pass to the squarefree part q, and check
-    that q has deg q distinct real roots.
+    One chain decides it.  Strip the x^m factor to get q and build the
+    Sturm chain of q.  Its last entry g is gcd(q, q') up to a constant, so q
+    has deg q - deg g distinct complex roots, and the chain counts
+    V(-inf) - V(+inf) distinct real ones; q is real-rooted iff the two
+    counts agree.  Constants are vacuously real-rooted.
     """
     if isinstance(p, (list, tuple)):
         p = Poly(p)
@@ -224,10 +276,9 @@ def real_rooted(p):
     cs = list(p.coeffs)
     while cs[0] == 0:
         cs.pop(0)
-    q = squarefree_part(cs)
-    if len(q) <= 2:
-        return True
-    return count_distinct_real_roots(q) == len(q) - 1
+    chain = sturm_chain(cs)
+    real = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
+    return real == len(chain[0]) - len(chain[-1])
 
 
 def isolate_real_roots(p):

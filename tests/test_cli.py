@@ -6,6 +6,7 @@ import pytest
 from matroid_invariants import poset
 from matroid_invariants.cli import main, parse_matroid_spec
 from matroid_invariants.matroid import Matroid, boolean, complete_graph, uniform, vamos
+from matroid_invariants.poly import binomial_eulerian
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 POSET_FILE = os.path.join(FIXTURES, "non_gamma_positive.poset.json")
@@ -147,6 +148,21 @@ def test_hz_command(capsys):
     assert code == 0
     assert main(["hz"]) == 1
     assert main(["hz", "--s", "2", "--uniform", "2,2"]) == 1
+    code, data = run_json(capsys, "hz", "--s", ",".join(str(v) for v in range(2, 13)))
+    assert code == 0 and data["poly"] == [str(c) for c in binomial_eulerian(12).coeffs]
+
+
+def test_flags_only_where_read(capsys):
+    # --jobs is read by sweep alone, --timeout-secs by invariant/crosscheck and sweep
+    assert main(["hz", "--s", "3,4", "--jobs", "2"]) == 1
+    assert main(["certify", "vamos", "gamma", "--timeout-secs", "1"]) == 1
+    assert main(["crosscheck", "uniform:2,3", "chow", "--jobs", "2"]) == 1
+    assert main(["hrs", "--max-n", "2", "--timeout-secs", "1"]) == 1
+    capsys.readouterr()
+    assert main(["crosscheck", "uniform:2,3", "chow", "--timeout-secs", "60"]) == 0
+    assert main(["invariant", "uniform:2,3", "chow", "chains", "--timeout-secs", "60"]) == 0
+    sweep = ["sweep", "sparse-paving", "--n", "6", "--k", "3", "--jobs", "1", "--timeout-secs", "60"]
+    assert main(sweep) == 0
 
 
 def test_equivariant_command(capsys):

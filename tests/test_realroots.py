@@ -3,15 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from matroid_invariants.invariants import aug_chow_paving, chow_braid, chow_paving
 from matroid_invariants.poly import ONE, Poly, X, eulerian
 from matroid_invariants.realroots import (
     RatPoly,
+    _derivative,
+    _primitive,
+    _variations_at_inf,
     cauchy_bound,
     count_distinct_real_roots,
     interlaces,
     isolate_real_roots,
+    poly_gcd,
     real_rooted,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -20,6 +26,115 @@ def poly_from_roots(roots):
     for r in roots:
         p = p * Poly([-r, 1])
     return p
+
+
+# -- Fraction-Euclid references: the chain, gcd and squarefree part over Q ------
+
+
+def ref_sturm_chain(coeffs):
+    s0 = _primitive(coeffs)
+    if len(s0) <= 1:
+        return [s0] if s0 else []
+    chain = [s0, _primitive(_derivative(s0))]
+    while True:
+        rem = RatPoly(chain[-2]).divmod(RatPoly(chain[-1]))[1]
+        if not rem:
+            break
+        chain.append(_primitive(tuple(-c for c in rem.primitive_int())))
+        if len(chain[-1]) == 1:
+            break
+    return chain
+
+
+def ref_poly_gcd(a, b):
+    fa, fb = RatPoly(a), RatPoly(b)
+    while fb:
+        fa, fb = fb, fa.divmod(fb)[1]
+    out = fa.primitive_int()
+    if out and out[-1] < 0:
+        out = tuple(-c for c in out)
+    return out
+
+
+def ref_squarefree_part(coeffs):
+    cs = _primitive(coeffs)
+    if len(cs) <= 1:
+        return cs
+    g = ref_poly_gcd(cs, _derivative(cs))
+    if len(g) == 1:
+        return cs
+    quo, rem = RatPoly(cs).divmod(RatPoly(g))
+    assert not rem
+    return quo.primitive_int()
+
+
+def ref_real_rooted(p):
+    """Strip x^m, pass to the squarefree part q, and ask for deg q distinct
+    real roots."""
+    cs = list(p.coeffs)
+    while cs[0] == 0:
+        cs.pop(0)
+    q = ref_squarefree_part(cs)
+    if len(q) <= 2:
+        return True
+    chain = ref_sturm_chain(q)
+    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True) == len(q) - 1
+
+
+def random_factored(rng):
+    """A product of linear factors, x, and the irreducible quadratics
+    x^2 + 1 and x^2 + 2x + 2, each to a power of at most 3."""
+    p = Poly([rng.choice([-3, -2, -1, 1, 2, 3])])
+    for _ in range(rng.randint(0, 5)):
+        factor = rng.choice(
+            [Poly([rng.randint(-5, 5), rng.choice([-3, -1, 1, 2])]), X, Poly([1, 0, 1]), Poly([2, 2, 1])]
+        )
+        p = p * factor ** rng.randint(1, 3)
+    return p
+
+
+def integer_corpus():
+    """Sweep polynomials, chow_braid(2..15) and random integer polynomials,
+    a share of them with negative leading coefficients."""
+    polys = []
+    for k in range(2, 8):
+        for lam in range(0, 30, 3):
+            polys += [chow_paving(k, 14, {k: lam}), aug_chow_paving(k, 14, {k: lam})]
+    polys += [chow_braid(n) for n in range(2, 16)]
+    rng = random.Random(41)
+    for _ in range(300):
+        cs = [rng.randint(-30, 30) for _ in range(rng.randint(1, 9))]
+        cs[-1] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        polys.append(Poly(cs))
+    for _ in range(300):
+        polys.append(random_factored(rng))
+    assert any(p.coeffs[-1] < 0 for p in polys)
+    return polys
+
+
+def test_integer_chains_equal_fraction_reference():
+    for p in integer_corpus():
+        cs = p.coeffs
+        assert sturm_chain(cs) == ref_sturm_chain(cs), cs
+        assert squarefree_part(cs) == ref_squarefree_part(cs), cs
+        for other in (_derivative(cs), cs[::-1], (3, -1), ()):
+            assert poly_gcd(cs, other) == ref_poly_gcd(cs, other), (cs, other)
+
+
+def test_real_rooted_matches_squarefree_reference():
+    rng = random.Random(53)
+    polys = [random_factored(rng) for _ in range(400)]
+    polys += [Poly([c]) for c in (-4, -1, 1, 7)]
+    polys += [X ** m * Poly([2, 2, 1]) ** e for m in range(3) for e in (1, 2)]
+    polys += [X ** m * Poly([1, 0, 1]) ** e for m in range(3) for e in (1, 2)]
+    polys += [Poly([rng.randint(-9, 9) for _ in range(d + 1)]) for d in (1, 2) for _ in range(40)]
+    polys = [p for p in polys if p]
+    verdicts = set()
+    for p in polys:
+        want = ref_real_rooted(p)
+        assert real_rooted(p) == want, p
+        verdicts.add((p.degree <= 2, want))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_real_rooted_basic():
