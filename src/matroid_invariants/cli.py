@@ -2,7 +2,10 @@
 
 Subcommands: invariant, crosscheck, certify, hz, equivariant,
 whitney-inverse, sweep, hrs.  Exit codes: 0 success, 1 usage or parse
-error, 2 cross-method disagreement, 3 certification failure.
+error, 2 cross-method disagreement, 3 certification failure.  A malformed
+command line prints the usage line; any other usage or parse error (a bad
+spec, check or value, an unreadable file, a spent --timeout-secs budget)
+prints one line `error: <message>` to stderr, from `main` alone.
 
 Matroids are named by a small grammar:
 
@@ -11,10 +14,12 @@ Matroids are named by a small grammar:
     | dual(<spec>)
     | relax(<spec>;<subset>) (subset as comma-separated elements)
 
-With --poset, certify loads a JSON bounded graded poset
+certify takes any of the checks in CHECKS, koszul-prefix as koszul-prefix:N
+with N >= 1.  With --poset it loads a JSON bounded graded poset
 {"rank": [...], "covers": [[lo, hi], ...]} instead of a matroid and runs the
-general-poset engines.  All polynomial coefficients are printed as decimal
-strings.
+general-poset engines, which support gamma, real-rooted and unimodal.
+sweep --certify takes a comma-separated subset of those three.  All
+polynomial coefficients are printed as decimal strings.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from math import comb
 
 from . import equivariant as eq
@@ -133,23 +139,12 @@ def _emit(payload, as_json, text_lines):
 
 
 def cmd_invariant(args):
-    try:
-        m, braid_n = parse_matroid_spec(args.spec)
-    except (SpecError, ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    m, braid_n = parse_matroid_spec(args.spec)
     deadline = time.monotonic() + args.timeout_secs if args.timeout_secs else None
-    try:
-        report = invariant_report(
-            m, args.kind, args.method, braid_n=braid_n, descriptor=args.spec,
-            deadline=deadline,
-        )
-    except TimeoutError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    report = invariant_report(
+        m, args.kind, args.method, braid_n=braid_n, descriptor=args.spec,
+        deadline=deadline,
+    )
     lines = ["%s %s" % (args.spec, args.kind)]
     for name, poly in report.results.items():
         lines.append(
@@ -163,137 +158,92 @@ def cmd_invariant(args):
 
 # -- certify --------------------------------------------------------------------
 
+# every check name; koszul-prefix alone takes an argument, as koszul-prefix:N
+CHECKS = ("gamma", "real-rooted", "unimodal", "dominance", "interlace", "koszul-prefix")
+# the checks a sparse-paving sweep runs on the closed forms of uH and H
+SWEEP_CHECKS = CHECKS[:3]
+
 
 def _parse_checks(tokens):
+    """[(name, arg)] for check tokens; arg is N for koszul-prefix:N, else None."""
     checks = []
     for t in tokens:
-        if t.startswith("koszul-prefix:"):
-            checks.append(("koszul-prefix", int(t.split(":", 1)[1])))
-        elif t in ("gamma", "real-rooted", "unimodal", "dominance", "interlace"):
-            checks.append((t, None))
-        else:
+        name, sep, arg = t.partition(":")
+        if name not in CHECKS or bool(sep) != (name == "koszul-prefix"):
             raise SpecError("unknown check %r" % t)
+        checks.append((name, _term_count(int(arg)) if sep else None))
     return checks
 
 
-def _gamma_payload(report):
+def _term_count(n):
+    if n < 1:
+        raise SpecError("a term count must be at least 1, got %d" % n)
+    return n
+
+
+def _real_rooted(q):
+    return q.is_zero() or real_rooted(q)
+
+
+def _poly_block(test, named):
+    entries = [{"name": t, "poly": _coeffs(q), "ok": test(q)} for t, q in named]
+    return {"ok": all(e["ok"] for e in entries), "entries": entries}
+
+
+def _alt_inverse_prefix(q, terms):
+    """The first `terms` coefficients of the power series 1/q(-x)."""
+    alt = Poly([(-1) ** i * c for i, c in enumerate(q.coeffs)])
+    return series_inverse_prefix(alt, terms - 1)
+
+
+def _koszul_block(named, terms):
+    entries = []
+    for t, q in named:
+        prefix = _alt_inverse_prefix(q, terms)
+        entries.append({"name": t, "prefix": [str(c) for c in prefix], "ok": all(c >= 0 for c in prefix)})
+    return {"ok": all(e["ok"] for e in entries), "terms": terms, "entries": entries}
+
+
+def _matroid_checks(m):
+    """Check name -> runner(arg) for a loopless matroid.  One lattice of
+    flats is built and shared, and uH, H, Z and P are computed on it up front."""
+    if not m.is_loopless():
+        raise SpecError("certification needs a loopless matroid")
+    lat = lattice_of_flats(m)
+    uh = chow_char_conv(m, lattice=lat)
+    h = aug_chow_contraction_conv(m, lattice=lat)
+    z = z_poly(m, lattice=lat)
+    named = (("chow", uh), ("augchow", h), ("z", z), ("kl", kl_poly(m, lattice=lat)))
     return {
-        "ok": report.ok,
-        "entries": [
-            {
-                "name": e.name,
-                "poly": _coeffs(e.poly),
-                "gamma": _coeffs(e.gamma) if e.gamma is not None else None,
-                "ok": e.ok,
-            }
-            for e in report.entries
-        ],
+        "gamma": lambda _: certify_gamma(m, lattice=lat).to_json(),
+        "real-rooted": lambda _: _poly_block(_real_rooted, named),
+        "unimodal": lambda _: _poly_block(is_unimodal, named[:3]),
+        "dominance": lambda _: certify_dominance(m, lattice=lat).to_json(),
+        "interlace": lambda _: {"ok": interlaces(uh, h), "chow": _coeffs(uh), "augchow": _coeffs(h)},
+        "koszul-prefix": lambda terms: _koszul_block(named[:2], terms),
+    }
+
+
+def _poset_checks(poset):
+    """Check name -> runner(arg) for a bounded graded poset."""
+    named = (("chow", kls_uH_general(poset)), ("augchow", kls_H_general(poset)))
+    return {
+        "gamma": lambda _: certify_gamma_poset(poset).to_json(),
+        "real-rooted": lambda _: _poly_block(_real_rooted, named),
+        "unimodal": lambda _: _poly_block(is_unimodal, named),
     }
 
 
 def cmd_certify(args):
-    try:
-        checks = _parse_checks(args.checks)
-    except (SpecError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-
-    results = {}
+    checks = _parse_checks(args.checks)
     if args.poset:
-        try:
-            poset = _load_poset(args.spec)
-        except (SpecError, ValueError, OSError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_USAGE
-        uh, h = kls_uH_general(poset), kls_H_general(poset)
-        for name, arg in checks:
-            if name == "gamma":
-                results["gamma"] = _gamma_payload(certify_gamma_poset(poset))
-            elif name == "real-rooted":
-                entries = [
-                    {"name": t, "poly": _coeffs(p), "ok": bool(p) and real_rooted(p)}
-                    for t, p in (("chow", uh), ("augchow", h))
-                ]
-                results["real-rooted"] = {
-                    "ok": all(e["ok"] for e in entries),
-                    "entries": entries,
-                }
-            elif name == "unimodal":
-                entries = [
-                    {"name": t, "poly": _coeffs(p), "ok": is_unimodal(p)}
-                    for t, p in (("chow", uh), ("augchow", h))
-                ]
-                results["unimodal"] = {
-                    "ok": all(e["ok"] for e in entries),
-                    "entries": entries,
-                }
-            else:
-                print("error: check %r does not apply to posets" % name, file=sys.stderr)
-                return EXIT_USAGE
+        runners = _poset_checks(_load_poset(args.spec))
     else:
-        try:
-            m, _ = parse_matroid_spec(args.spec)
-        except (SpecError, ValueError, OSError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_USAGE
-        if not m.is_loopless():
-            print("error: certification needs a loopless matroid", file=sys.stderr)
-            return EXIT_USAGE
-        lat = lattice_of_flats(m)  # one lattice, so its interval tables are shared
-        uh = chow_char_conv(m, lattice=lat)
-        h = aug_chow_contraction_conv(m, lattice=lat)
-        z = z_poly(m, lattice=lat)
-        p = kl_poly(m, lattice=lat)
-        named = (("chow", uh), ("augchow", h), ("z", z), ("kl", p))
-        for name, arg in checks:
-            if name == "gamma":
-                results["gamma"] = _gamma_payload(certify_gamma(m, lattice=lat))
-            elif name == "real-rooted":
-                entries = [
-                    {"name": t, "poly": _coeffs(q), "ok": q.is_zero() or real_rooted(q)}
-                    for t, q in named
-                ]
-                results["real-rooted"] = {
-                    "ok": all(e["ok"] for e in entries),
-                    "entries": entries,
-                }
-            elif name == "unimodal":
-                entries = [
-                    {"name": t, "poly": _coeffs(q), "ok": is_unimodal(q)}
-                    for t, q in (("chow", uh), ("augchow", h), ("z", z))
-                ]
-                results["unimodal"] = {
-                    "ok": all(e["ok"] for e in entries),
-                    "entries": entries,
-                }
-            elif name == "dominance":
-                rep = certify_dominance(m, lattice=lat)
-                results["dominance"] = rep.to_json()
-            elif name == "interlace":
-                ok = interlaces(uh, h)
-                results["interlace"] = {
-                    "ok": ok,
-                    "chow": _coeffs(uh),
-                    "augchow": _coeffs(h),
-                }
-            elif name == "koszul-prefix":
-                terms = arg
-                entries = []
-                for t, q in (("chow", uh), ("augchow", h)):
-                    alt = Poly([(-1) ** i * c for i, c in enumerate(q.coeffs)])
-                    prefix = series_inverse_prefix(alt, terms - 1)
-                    entries.append(
-                        {
-                            "name": t,
-                            "prefix": [str(c) for c in prefix],
-                            "ok": all(c >= 0 for c in prefix),
-                        }
-                    )
-                results["koszul-prefix"] = {
-                    "ok": all(e["ok"] for e in entries),
-                    "terms": terms,
-                    "entries": entries,
-                }
+        runners = _matroid_checks(parse_matroid_spec(args.spec)[0])
+    for name, _ in checks:
+        if name not in runners:
+            raise SpecError("check %r does not apply to posets" % name)
+    results = {name: runners[name](arg) for name, arg in checks}
 
     ok = all(block["ok"] for block in results.values())
     payload = {"schema": "1", "spec": args.spec, "checks": results, "ok": ok}
@@ -318,20 +268,15 @@ def cmd_certify(args):
 
 def cmd_hz(args):
     if (args.s is None) == (args.uniform is None):
-        print("error: give exactly one of --s or --uniform", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.s is not None:
-            s = _parse_ints(args.s)
-            poly = hzmod.hz_poly(s)
-            descriptor = "s=%s" % (tuple(s),)
-        else:
-            k, n = _parse_ints(args.uniform, 2)
-            poly = hzmod.hz_uniform(k, n)
-            descriptor = "uniform:%d,%d" % (k, n)
-    except (SpecError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("give exactly one of --s or --uniform")
+    if args.s is not None:
+        s = _parse_ints(args.s)
+        poly = hzmod.hz_poly(s)
+        descriptor = "s=%s" % (tuple(s),)
+    else:
+        k, n = _parse_ints(args.uniform, 2)
+        poly = hzmod.hz_uniform(k, n)
+        descriptor = "uniform:%d,%d" % (k, n)
     payload = {"schema": "1", "input": descriptor, "poly": _coeffs(poly)}
     _emit(payload, args.json, ["%s: %s  [%s]" % (descriptor, poly, ", ".join(_coeffs(poly)))])
     return EXIT_OK
@@ -341,11 +286,9 @@ def cmd_hz(args):
 
 
 def cmd_equivariant(args):
-    try:
-        k, n = _parse_ints(args.uniform, 2)
-    except (SpecError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    if args.gamma and args.kind != "z":
+        raise SpecError("--gamma needs the palindromic kind z")
+    k, n = _parse_ints(args.uniform, 2)
     if args.kind == "kl":
         graded = eq.eq_kl_uniform(k, n)
     else:
@@ -368,9 +311,6 @@ def cmd_equivariant(args):
         "dims": _coeffs(graded.dim_poly()),
     }
     if args.gamma:
-        if args.kind != "z":
-            print("error: --gamma needs the palindromic kind z", file=sys.stderr)
-            return EXIT_USAGE
         gammas = eq.gamma_decompose_eq(graded, k)
         payload["gamma"] = [
             {"i": i, "rep": [[list(lam), c] for lam, c in g.items()], "honest": g.is_honest()}
@@ -388,18 +328,11 @@ def cmd_equivariant(args):
 
 
 def cmd_whitney_inverse(args):
-    try:
-        m, _ = parse_matroid_spec(args.spec)
-    except (SpecError, ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    m, _ = parse_matroid_spec(args.spec)
     if not m.is_loopless():
-        print("error: Whitney numbers need a loopless matroid", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("Whitney numbers need a loopless matroid")
     w = whitney_numbers(m)
-    terms = args.terms if args.terms is not None else 2 * m.rank
-    alt = Poly([(-1) ** i * c for i, c in enumerate(w.coeffs)])
-    prefix = series_inverse_prefix(alt, terms - 1)
+    prefix = _alt_inverse_prefix(w, 2 * m.rank if args.terms is None else _term_count(args.terms))
     payload = {
         "schema": "1",
         "spec": args.spec,
@@ -432,11 +365,11 @@ def _sweep_one(payload):
             for tag, q, center in (("chow", uh, k - 1), ("augchow", h, k)):
                 g = gamma_vector(q, center)
                 if any(c < 0 for c in g.coeffs):
-                    failures.append({"check": "gamma", "poly": tag, "gamma": [str(c) for c in g.coeffs]})
+                    failures.append({"check": "gamma", "poly": tag, "gamma": _coeffs(g)})
         elif name == "real-rooted":
             for tag, q in (("chow", uh), ("augchow", h)):
                 if not real_rooted(q):
-                    failures.append({"check": "real-rooted", "poly": tag, "coeffs": [str(c) for c in q.coeffs]})
+                    failures.append({"check": "real-rooted", "poly": tag, "coeffs": _coeffs(q)})
         elif name == "unimodal":
             for tag, q in (("chow", uh), ("augchow", h)):
                 if not is_unimodal(q):
@@ -446,38 +379,31 @@ def _sweep_one(payload):
 
 def cmd_sweep(args):
     if args.family != "sparse-paving":
-        print("error: the only supported sweep family is 'sparse-paving'", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("the only supported sweep family is 'sparse-paving'")
     k, n = args.k, args.n
     if not 1 <= k <= n:
-        print("error: need 1 <= k <= n", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("need 1 <= k <= n")
     lam_min = args.lambda_min
     lam_max = args.lambda_max
     if lam_max is None:
         lam_max = comb(n, k) // (n - k + 1) if n > k else 0
     if lam_min < 0 or lam_max < lam_min:
-        print("error: invalid lambda range", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("invalid lambda range")
     checks = [c for c in args.certify.split(",") if c]
+    for name, _ in _parse_checks(checks):
+        if name not in SWEEP_CHECKS:
+            raise SpecError("check %r does not apply to sweep" % name)
     jobs = max(args.jobs, 1)
     deadline = time.monotonic() + args.timeout_secs if args.timeout_secs else None
     payloads = [(k, n, lam, checks) for lam in range(lam_min, lam_max + 1)]
     results = []
-    if jobs == 1:
-        for p in payloads:
-            results.append(_sweep_one(p))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # pool.map, like map, yields in payload order, so results are sorted by lambda
+        mapped = pool.map(_sweep_one, payloads, chunksize=16) if pool else map(_sweep_one, payloads)
+        for r in mapped:
+            results.append(r)
             if deadline and time.monotonic() > deadline:
-                print("error: timeout exceeded", file=sys.stderr)
-                return EXIT_USAGE
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for r in pool.map(_sweep_one, payloads, chunksize=16):
-                results.append(r)
-                if deadline and time.monotonic() > deadline:
-                    print("error: timeout exceeded", file=sys.stderr)
-                    return EXIT_USAGE
-    results.sort(key=lambda t: t[0])
+                raise TimeoutError("timeout exceeded")
     failures = [(lam, f) for lam, f in results if f]
     payload = {
         "schema": "1",
@@ -609,7 +535,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SpecError, ValueError, OSError) as exc:  # TimeoutError is an OSError
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -668,14 +668,15 @@ class GammaReport:
         return all(e.ok for e in self.entries)
 
     def to_json(self):
+        """The `gamma` block of `certify --json`: coefficients as decimal
+        strings, gamma None where the polynomial is not palindromic."""
         return {
             "ok": self.ok,
             "entries": [
                 {
                     "name": e.name,
-                    "poly": e.poly.to_json(),
-                    "center": e.center,
-                    "gamma": e.gamma.to_json() if e.gamma is not None else None,
+                    "poly": [str(c) for c in e.poly.coeffs],
+                    "gamma": [str(c) for c in e.gamma.coeffs] if e.gamma is not None else None,
                     "ok": e.ok,
                 }
                 for e in self.entries

@@ -359,9 +359,9 @@ def gamma_vector(p, d=None):
         g = work[i]
         gamma.append(g)
         if g:
-            basis = ((ONE + X) ** (d - 2 * i)).coeffs
-            for j, c in enumerate(basis):
-                work[i + j] -= g * c
+            e = d - 2 * i
+            for j in range(e + 1):
+                work[i + j] -= g * comb(e, j)
     if any(work):
         raise NotPalindromic("gamma peeling left a nonzero residue")
     return Poly(gamma)

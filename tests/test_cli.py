@@ -13,6 +13,15 @@ POSET_FILE = os.path.join(FIXTURES, "non_gamma_positive.poset.json")
 # `certify vamos gamma real-rooted dominance interlace --json`, recorded
 # when each certificate built its own lattice
 CERTIFY_VAMOS_FILE = os.path.join(FIXTURES, "certify_vamos.json")
+# stdout of further certify commands, recorded before the matroid and poset
+# paths of `certify` became one; the poset spec is relative to FIXTURES
+POSET_SPEC = "file:non_gamma_positive.poset.json"
+RECORDED_CERTIFY = [
+    (["uniform:3,5", "koszul-prefix:6", "unimodal", "--json"], "certify_uniform_3_5.json", 0, 1),
+    (["uniform:3,5", "koszul-prefix:6", "unimodal"], "certify_uniform_3_5.txt", 0, 1),
+    (["--poset", POSET_SPEC, "gamma", "real-rooted", "unimodal", "--json"], "certify_poset.json", 3, 0),
+    (["--poset", POSET_SPEC, "gamma", "real-rooted", "unimodal"], "certify_poset.txt", 3, 0),
+]
 
 
 def run(capsys, *argv):
@@ -119,6 +128,13 @@ def test_certify_builds_one_lattice(capsys, monkeypatch):
     assert code == 0 and builds == [vamos()]
     with open(CERTIFY_VAMOS_FILE, encoding="utf-8") as fh:
         assert data == json.load(fh)
+    monkeypatch.chdir(FIXTURES)
+    for argv, recorded, exit_code, lattices in RECORDED_CERTIFY:
+        builds.clear()
+        code, out = run(capsys, "certify", *argv)
+        assert code == exit_code and len(builds) == lattices
+        with open(recorded, encoding="utf-8") as fh:
+            assert out == fh.read(), recorded
 
 
 def test_certify_koszul_and_unimodal(capsys):
@@ -136,6 +152,25 @@ def test_certify_poset_counterexample(capsys):
 
 def test_certify_unknown_check(capsys):
     assert main(["certify", "vamos", "deeply-magical"]) == 1
+
+
+def test_certify_poset_rejects_matroid_checks(capsys):
+    for check in ("dominance", "interlace", "koszul-prefix:3"):
+        assert main(["certify", "--poset", "file:%s" % POSET_FILE, "gamma", check]) == 1
+        assert capsys.readouterr().out == ""
+
+
+def test_term_counts_below_one_rejected(capsys):
+    for n in ("-2", "0"):
+        assert main(["certify", "uniform:3,5", "koszul-prefix:" + n]) == 1
+        assert main(["whitney-inverse", "uniform:3,5", "--terms", n]) == 1
+    assert capsys.readouterr().out == ""
+    code, data = run_json(capsys, "certify", "uniform:3,5", "koszul-prefix:1")
+    assert code == 0 and data["checks"]["koszul-prefix"]["entries"][0]["prefix"] == ["1"]
+    code, data = run_json(capsys, "whitney-inverse", "uniform:3,5", "--terms", "1")
+    assert code == 0 and data["inverse_prefix"] == ["1"]
+    code, data = run_json(capsys, "whitney-inverse", "uniform:3,5")
+    assert code == 0 and len(data["inverse_prefix"]) == 6  # default 2 * rank
 
 
 # -- other subcommands ----------------------------------------------------------------
@@ -173,6 +208,20 @@ def test_equivariant_command(capsys):
     assert data["gamma_positive"] is False
     assert data["dims"] == ["1", "2", "1"]
     assert main(["equivariant", "--uniform", "2,4", "--kind", "kl", "--gamma"]) == 1
+
+
+def test_usage_errors_print_one_line(capsys):
+    for argv in (
+        ["equivariant", "--uniform", "0,3", "--kind", "kl"],
+        ["equivariant", "--uniform", "2,4", "--kind", "kl", "--restrict", "9"],
+        ["invariant", "file:%s" % os.path.join(FIXTURES, "missing.json"), "chow", "all"],
+        ["certify", "uniform:3,5", "koszul-prefix:x"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_whitney_inverse_command(capsys):
@@ -230,3 +279,22 @@ def test_sweep_vamos_parameters_reproduce_vamos(capsys):
 def test_sweep_invalid_range(capsys):
     assert main(["sweep", "sparse-paving", "--n", "8", "--k", "4", "--lambda-min", "5", "--lambda-max", "2"]) == 1
     assert main(["sweep", "unknown-family", "--n", "8", "--k", "4"]) == 1
+
+
+def test_sweep_rejects_unknown_checks(capsys):
+    base = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--certify"]
+    assert main([*base, "gama,realrooted"]) == 1
+    assert "'gama'" in capsys.readouterr().err
+    for check in ("dominance", "interlace", "koszul-prefix:3"):
+        assert main([*base, "gamma," + check]) == 1
+        assert "'%s'" % check.split(":")[0] in capsys.readouterr().err
+    code, data = run_json(capsys, *base, "gamma,real-rooted,unimodal")
+    assert code == 0 and data["checks"] == ["gamma", "real-rooted", "unimodal"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_timeout(capsys, jobs):
+    argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--jobs", jobs, "--timeout-secs", "0.000001"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: timeout exceeded\n"
