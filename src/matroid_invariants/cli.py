@@ -3,9 +3,11 @@
 Subcommands: invariant, crosscheck, certify, hz, equivariant,
 whitney-inverse, sweep, hrs.  Exit codes: 0 success, 1 usage or parse
 error, 2 cross-method disagreement, 3 certification failure.  A malformed
-command line prints the usage line; any other usage or parse error (a bad
-spec, check or value, an unreadable file, a spent --timeout-secs budget)
-prints one line `error: <message>` to stderr, from `main` alone.
+command line prints the usage line and argparse's message, which names the
+bad flag or choice; any other usage or parse error (a bad spec, check or
+value, an unreadable file, a spent --timeout-secs budget, an empty sweep
+--certify list) prints one line `error: <message>` to stderr, from `main`
+alone.
 
 Matroids are named by a small grammar:
 
@@ -18,7 +20,7 @@ certify takes any of the checks in CHECKS, koszul-prefix as koszul-prefix:N
 with N >= 1.  With --poset it loads a JSON bounded graded poset
 {"rank": [...], "covers": [[lo, hi], ...]} instead of a matroid and runs the
 general-poset engines, which support gamma, real-rooted and unimodal.
-sweep --certify takes a comma-separated subset of those three.  All
+sweep --certify takes a nonempty comma-separated subset of those three.  All
 polynomial coefficients are printed as decimal strings.
 """
 
@@ -66,7 +68,7 @@ class SpecError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
 def parse_matroid_spec(text):
@@ -390,6 +392,8 @@ def cmd_sweep(args):
     if lam_min < 0 or lam_max < lam_min:
         raise SpecError("invalid lambda range")
     checks = [c for c in args.certify.split(",") if c]
+    if not checks:
+        raise SpecError("--certify needs at least one check")
     for name, _ in _parse_checks(checks):
         if name not in SWEEP_CHECKS:
             raise SpecError("check %r does not apply to sweep" % name)

@@ -15,6 +15,13 @@ comparable pairs of the lattice of flats per table; they differ only in the
 kernel of an interval (reduced characteristic polynomial, Moebius number,
 characteristic polynomial, rank-gap factor) and in the finishing step.
 
+The deletion engines (semismall, bv_deletion) take the same lattice and
+recurse over flat-set minors read off its flats: a minor is the key
+(n, levels) of its flats by rank, which is also the memo key, so the
+recursions scan no bases and build no lattice of a minor.  Only `tau` of a
+contraction is read from the Kazhdan-Lusztig table of a lattice assembled
+from its flat set (`FlatsLattice.from_levels`).
+
 Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
 polynomial and characteristic polynomial vanish; the augmented Chow and
 Z-polynomials are those of the matroid with its loops deleted, and a
@@ -78,6 +85,7 @@ from .poly import (
     stirling2,
 )
 from .poset import (
+    FlatsLattice,
     bergman_f_h,
     interval_char_poly,
     interval_chibar,
@@ -226,112 +234,199 @@ def aug_chow_incidence_inv(m, lattice=None):
     return interval_dp(lat, "aug_lower_mobius", False, _mobius_term(lat), _negate)[lat.top]
 
 
-# -- semi-small deletion engines ------------------------------------------------
+# -- flat-set minors ------------------------------------------------------------
+#
+# The deletion engines recurse over minors M - i, M/A and M|F of one matroid,
+# and every invariant they compute depends only on the lattice of flats.  So
+# a minor is its flat set, the hashable key (n, levels): levels[r] is the
+# increasing tuple of the masks of the rank-r flats on the elements
+# 0, ..., n-1.  The first key is read off the one lattice an engine is given
+# or builds; every minor after it is a pass over the flats of its parent,
+# with no bases scan and no lattice build.
 
 
-def _s_families(m, lat, i):
-    """Flats F avoiding i with F union {i} a flat and F strictly inside
-    E - i, as masks."""
-    bit = 1 << i
-    rest = m.full_mask ^ bit
+def _flat_key(lat):
+    """Flat-set key of a lattice of flats; its top flat is the ground set."""
+    flats = lat.flats
+    return flats[lat.top].bit_length(), tuple(
+        tuple(flats[j] for j in ids) for ids in lat.by_rank
+    )
+
+
+def _squeeze(masks, keep):
+    """The masks, each inside `keep`, with the elements of `keep` renumbered
+    0, 1, ... in increasing order; order is preserved."""
+    runs = []  # (run of consecutive elements of keep, how far it moves down)
+    done = 0
+    while keep:
+        lo = (keep & -keep).bit_length() - 1
+        length = (~keep >> lo & (keep >> lo) + 1).bit_length() - 1
+        run = ((1 << length) - 1) << lo
+        runs.append((run, lo - done))
+        keep ^= run
+        done += length
+    if len(runs) == 1:
+        ((run, shift),) = runs
+        return [f >> shift for f in masks]
     out = []
-    for f in lat.flats:
-        if f & bit or f == rest:
-            continue
-        if (f | bit) in lat.index:
-            out.append(f)
+    for f in masks:
+        g = 0
+        for run, shift in runs:
+            g |= (f & run) >> shift
+        out.append(g)
     return out
 
 
-def _smallest_non_coloop(m):
-    coloops = m.coloops()
-    for e in range(m.n):
-        if not coloops & (1 << e):
-            return e
-    return None
+def _delete(key, i):
+    """M - i: the flats F - i, each at the least rank of the flats F it comes
+    from.  Deleting a coloop lowers the rank, so a trailing empty level is
+    dropped."""
+    n, levels = key
+    bit = 1 << i
+    keep = ((1 << n) - 1) ^ bit
+    seen = set()
+    out = []
+    for flats_r in levels:
+        level = []
+        for g in _squeeze([f & ~bit for f in flats_r], keep):
+            if g not in seen:
+                seen.add(g)
+                level.append(g)
+        out.append(tuple(sorted(level)))
+    if not out[-1]:
+        out.pop()
+    return n - 1, tuple(out)
 
 
-def chow_semismall(m):
+def _contract(key, a, ra):
+    """M/A for a flat A of rank ra: the flats G - A over the flats G
+    containing A, at rank rk G - ra."""
+    n, levels = key
+    keep = ((1 << n) - 1) ^ a
+    return n - a.bit_count(), tuple(
+        tuple(_squeeze([g ^ a for g in flats_r if g & a == a], keep)) for flats_r in levels[ra:]
+    )
+
+
+def _restrict(key, f, rf):
+    """M|F for a flat F of rank rf: the flats inside F."""
+    levels = key[1]
+    return f.bit_count(), tuple(
+        tuple(_squeeze([g for g in flats_r if not g & ~f], f)) for flats_r in levels[: rf + 1]
+    )
+
+
+def _free(n):
+    """Flat-set key of the free matroid on n elements: every subset is a flat."""
+    levels = [[] for _ in range(n + 1)]
+    for s in range(1 << n):
+        levels[s.bit_count()].append(s)
+    return n, tuple(map(tuple, levels))
+
+
+def _smallest_non_coloop(key):
+    """The least element that is not a coloop, or None for a free matroid.
+    Needs rank at least 1: i is a coloop iff E - i is a hyperplane."""
+    n, levels = key
+    full = (1 << n) - 1
+    rest = full
+    for h in levels[-2]:
+        if h.bit_count() == n - 1:
+            rest ^= full ^ h
+    return (rest & -rest).bit_length() - 1 if rest else None
+
+
+def _s_families(key, i):
+    """(rk F, F) for the flats F avoiding i with F + i a flat; i is never a
+    coloop here, so E - i is not a flat and each F lies strictly inside it."""
+    levels = key[1]
+    bit = 1 << i
+    out = []
+    for r in range(len(levels) - 1):
+        upper = set(levels[r + 1])
+        out.extend((r, f) for f in levels[r] if not f & bit and f | bit in upper)
+    return out
+
+
+# -- semi-small deletion engines ------------------------------------------------
+
+
+def chow_semismall(m, lattice=None):
     """Chow polynomial by the quadratic deletion recursion coming from the
     semi-small decomposition; the all-coloop (free matroid) case uses the
     coloop variant of the decomposition."""
     if not m.is_loopless():
         return ZERO
-    memo = {}
-    return _ss_chow(m, memo)
+    return _ss_chow(_flat_key(_lat(m, lattice)), {})
 
 
-def _ss_chow(m, memo):
-    key = m.key()
+def _ss_chow(key, memo):
     val = memo.get(key)
     if val is not None:
         return val
-    if m.n <= 1:
+    n = key[0]
+    if n <= 1:
         val = ONE
     else:
-        i = _smallest_non_coloop(m)
+        i = _smallest_non_coloop(key)
         if i is None:
-            # free matroid: split off the last coloop
-            n = m.n - 1
-            free = m.delete(1 << n)
-            acc = (ONE + X) * _ss_chow(free, memo)
+            # free matroid: split off the last coloop; the minors by a
+            # c-subset of the rest are free on n - 1 - c and c elements
+            n -= 1
+            acc = (ONE + X) * _ss_chow(_free(n), memo)
             extra = ZERO
-            for f in range(1, (1 << n) - 1):
-                extra = extra + _ss_chow(free.contract(f), memo) * _ss_chow(
-                    free.restrict(f), memo
+            for c in range(1, n):
+                extra = extra + comb(n, c) * _ss_chow(_free(n - c), memo) * _ss_chow(
+                    _free(c), memo
                 )
             val = acc + extra.shift(1)
         else:
             bit = 1 << i
-            lat = lattice_of_flats(m)
-            acc = _ss_chow(m.delete(bit), memo)
+            acc = _ss_chow(_delete(key, i), memo)
             extra = ZERO
-            for f in _s_families(m, lat, i):
+            for r, f in _s_families(key, i):
                 if f == 0:
                     continue
-                extra = extra + _ss_chow(m.contract(f | bit), memo) * _ss_chow(
-                    m.restrict(f), memo
+                extra = extra + _ss_chow(_contract(key, f | bit, r + 1), memo) * _ss_chow(
+                    _restrict(key, f, r), memo
                 )
             val = acc + extra.shift(1)
     memo[key] = val
     return val
 
 
-def aug_chow_semismall(m):
+def aug_chow_semismall(m, lattice=None):
     """Augmented Chow polynomial by the semi-small deletion recursion."""
-    core = _loopless_core(m)
-    return _ss_aug(core, {}, {})
+    return _ss_aug(_flat_key(_lat(m, lattice)), {}, {})
 
 
-def _ss_aug(m, memo_h, memo_u):
-    key = m.key()
+def _ss_aug(key, memo_h, memo_u):
     val = memo_h.get(key)
     if val is not None:
         return val
-    if m.n == 0:
+    n = key[0]
+    if n == 0:
         val = ONE
-    elif m.n == 1:
+    elif n == 1:
         val = ONE + X
     else:
-        i = _smallest_non_coloop(m)
+        i = _smallest_non_coloop(key)
         if i is None:
-            n = m.n - 1
-            free = m.delete(1 << n)
-            acc = (ONE + X) * _ss_aug(free, memo_h, memo_u)
+            n -= 1
+            acc = (ONE + X) * _ss_aug(_free(n), memo_h, memo_u)
             extra = ZERO
-            for f in range((1 << n) - 1):
-                extra = extra + _ss_chow(free.contract(f), memo_u) * _ss_aug(
-                    free.restrict(f), memo_h, memo_u
+            for c in range(n):
+                extra = extra + comb(n, c) * _ss_chow(_free(n - c), memo_u) * _ss_aug(
+                    _free(c), memo_h, memo_u
                 )
             val = acc + extra.shift(1)
         else:
             bit = 1 << i
-            lat = lattice_of_flats(m)
-            acc = _ss_aug(m.delete(bit), memo_h, memo_u)
+            acc = _ss_aug(_delete(key, i), memo_h, memo_u)
             extra = ZERO
-            for f in _s_families(m, lat, i):
-                extra = extra + _ss_chow(m.contract(f | bit), memo_u) * _ss_aug(
-                    m.restrict(f), memo_h, memo_u
+            for r, f in _s_families(key, i):
+                extra = extra + _ss_chow(_contract(key, f | bit, r + 1), memo_u) * _ss_aug(
+                    _restrict(key, f, r), memo_h, memo_u
                 )
             val = acc + extra.shift(1)
     memo_h[key] = val
@@ -500,27 +595,20 @@ def aug_chow_of_paving(m):
 
 def chow_braid(n):
     """Chow polynomial of the graphic matroid of the complete graph on n
-    vertices, via the chain formula aggregated over rank sets R weighted by
-    Stirling numbers of the second kind."""
+    vertices: the chain formula aggregated over the ranks of the chain,
+    weighted by Stirling numbers of the second kind, as a DP over the
+    previous rank p of the chain,
+    h[p] = 1 + sum_{b >= p+2} S(n-p, n-b) (x + ... + x^(b-p-1)) h[b],
+    with answer h[0].  Rank gaps of 1 give a zero factor and are skipped."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    acc = ZERO
-    for mask in range(1 << n):
-        if mask & 1 or mask & (mask >> 1):
-            continue  # a rank gap of 1 makes the product vanish
-        prod = ONE
-        prev = 0
-        for b in range(1, n + 1):
-            if not mask & (1 << (b - 1)):
-                continue
-            s = stirling2(n - prev, n - b)
-            if s == 0:
-                prod = ZERO
-                break
-            prod = prod * (s * ones(b - prev - 1).shift(1))
-            prev = b
-        acc = acc + prod
-    return acc
+    h = [ONE] * n
+    for p in range(n - 3, -1, -1):
+        acc = ONE
+        for b in range(p + 2, n):
+            acc = acc + stirling2(n - p, n - b) * ones(b - p - 1).shift(1) * h[b]
+        h[p] = acc
+    return h[0]
 
 
 # -- Kazhdan-Lusztig and Z engines ---------------------------------------------------
@@ -590,42 +678,44 @@ def z_uniform(k, n):
     return acc
 
 
-def _bv_pair(m, memo, tau_memo):
-    key = m.key()
+def _tau(key):
+    """tau of a flat-set minor of odd rank, from the Kazhdan-Lusztig table of
+    a lattice assembled from its flats."""
+    levels = key[1]
+    lat = FlatsLattice.from_levels(levels)
+    return _kl_upper_table(lat)[lat.bottom].coeff((len(levels) - 2) // 2)
+
+
+def _bv_pair(key, memo, tau_memo):
     val = memo.get(key)
     if val is not None:
         return val
-    k = m.rank
+    n, levels = key
+    k = len(levels) - 1
     if k == 0:
         val = (ONE, ONE)
     else:
-        i = _smallest_non_coloop(m)
+        i = _smallest_non_coloop(key)
         if i is None:
-            val = (ONE, (ONE + X) ** m.n)
+            val = (ONE, (ONE + X) ** n)
         else:
             bit = 1 << i
-            lat = lattice_of_flats(m)
-            p_del, z_del = _bv_pair(m.delete(bit), memo, tau_memo)
-            contr = m.contract(bit)
-            if contr.is_loopless():
-                p_con = _bv_pair(contr, memo, tau_memo)[0]
+            p_del, z_del = _bv_pair(_delete(key, i), memo, tau_memo)
+            if bit in levels[1]:  # M/i is loopless iff {i} is a flat
+                p_con = _bv_pair(_contract(key, bit, 1), memo, tau_memo)[0]
             else:
                 p_con = ZERO
             p_acc, z_acc = ZERO, ZERO
-            for f in _s_families(m, lat, i):
-                rf = m.rank_of(f)
-                if (k - rf) % 2:
-                    continue  # tau of the odd-corank contraction vanishes
-                minor = m.contract(f | bit)
-                tkey = minor.key()
-                t = tau_memo.get(tkey)
+            for r, f in _s_families(key, i):
+                if (k - r) % 2:
+                    continue  # tau of the even-rank contraction vanishes
+                minor = _contract(key, f | bit, r + 1)
+                t = tau_memo.get(minor)
                 if t is None:
-                    t = tau(minor)
-                    tau_memo[tkey] = t
+                    t = tau_memo[minor] = _tau(minor)
                 if t:
-                    rest = m.restrict(f)
-                    p_r, z_r = _bv_pair(rest, memo, tau_memo)
-                    shift = (k - rf) // 2
+                    p_r, z_r = _bv_pair(_restrict(key, f, r), memo, tau_memo)
+                    shift = (k - r) // 2
                     p_acc = p_acc + (t * p_r).shift(shift)
                     z_acc = z_acc + (t * z_r).shift(shift)
             val = (p_del - p_con.shift(1) + p_acc, z_del + z_acc)
@@ -633,18 +723,17 @@ def _bv_pair(m, memo, tau_memo):
     return val
 
 
-def kl_bv_deletion(m):
+def kl_bv_deletion(m, lattice=None):
     """P_M by the deletion recursion
     P_M = P(M-i) - x P(M/i) + sum_{F} tau(M/(F+i)) x^((k-rk F)/2) P(M|F)."""
     if not m.is_loopless():
         return ZERO
-    return _bv_pair(m, {}, {})[0]
+    return _bv_pair(_flat_key(_lat(m, lattice)), {}, {})[0]
 
 
-def z_bv_deletion(m):
+def z_bv_deletion(m, lattice=None):
     """Z_M by the deletion recursion (same shape, without the -x P(M/i) term)."""
-    core = _loopless_core(m)
-    return _bv_pair(core, {}, {})[1]
+    return _bv_pair(_flat_key(_lat(m, lattice)), {}, {})[1]
 
 
 # -- certification ------------------------------------------------------------------
@@ -868,7 +957,7 @@ METHODS = {
         "char_conv": (lambda m, lat, b: chow_char_conv(m, lat), None),
         "intrinsic": (lambda m, lat, b: chow_intrinsic(m, lat), None),
         "incidence_inv": (lambda m, lat, b: chow_incidence_inv(m, lat), None),
-        "semismall": (lambda m, lat, b: chow_semismall(m), _small),
+        "semismall": (lambda m, lat, b: chow_semismall(m, lat), _small),
         "uniform_closed": (_uniform_form(chow_uniform, "uniform_closed"), _uniform),
         "paving": (lambda m, lat, b: chow_of_paving(m), _paving),
         "braid_closed": (_braid_closed, lambda m, braid_n: braid_n is not None),
@@ -880,7 +969,7 @@ METHODS = {
         "mobius_conv": (lambda m, lat, b: aug_chow_mobius_conv(m, lat), None),
         "intrinsic": (lambda m, lat, b: aug_chow_intrinsic(m, lat), None),
         "incidence_inv": (lambda m, lat, b: aug_chow_incidence_inv(m, lat), None),
-        "semismall": (lambda m, lat, b: aug_chow_semismall(m), _small),
+        "semismall": (lambda m, lat, b: aug_chow_semismall(m, lat), _small),
         "uniform_closed": (_uniform_form(aug_chow_uniform, "uniform_closed"), _uniform),
         "paving": (lambda m, lat, b: aug_chow_of_paving(m), _paving),
         "coloop_closed": (
@@ -891,12 +980,12 @@ METHODS = {
     "kl": {  # kl_poly answers 0 for matroids with loops before any engine runs
         "epw": (_kl_epw, None),
         "intrinsic": (lambda m, lat, b: kls_P_general(_lat(m, lat)), None),
-        "bv_deletion": (lambda m, lat, b: kl_bv_deletion(m), _small),
+        "bv_deletion": (lambda m, lat, b: kl_bv_deletion(m, lat), _small),
         "uniform_fast": (_uniform_form(kl_uniform, "uniform_fast"), _uniform),
     },
     "z": {
         "conv_def": (_z_conv_def, None),
-        "bv_deletion": (lambda m, lat, b: z_bv_deletion(m), _small),
+        "bv_deletion": (lambda m, lat, b: z_bv_deletion(m, lat), _small),
     },
 }
 KINDS = {kind: tuple(methods) for kind, methods in METHODS.items()}

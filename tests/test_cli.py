@@ -200,6 +200,17 @@ def test_flags_only_where_read(capsys):
     assert main(sweep) == 0
 
 
+def test_malformed_command_line_names_the_argument(capsys):
+    # the top-level parser reports a subcommand's unknown flag: its message,
+    # not only the top-level usage line, must name the flag
+    assert main(["crosscheck", "uniform:2,3", "chow", "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --jobs 2" in captured.err
+    assert main(["crosscheck", "uniform:2,3", "nokind"]) == 1
+    assert "'nokind'" in capsys.readouterr().err
+
+
 def test_equivariant_command(capsys):
     code, data = run_json(
         capsys, "equivariant", "--uniform", "2,2", "--kind", "z", "--gamma"
@@ -290,6 +301,14 @@ def test_sweep_rejects_unknown_checks(capsys):
         assert "'%s'" % check.split(":")[0] in capsys.readouterr().err
     code, data = run_json(capsys, *base, "gamma,real-rooted,unimodal")
     assert code == 0 and data["checks"] == ["gamma", "real-rooted", "unimodal"]
+
+
+def test_sweep_rejects_empty_check_list(capsys):
+    for certify in (",", ""):
+        assert main(["sweep", "sparse-paving", "--n", "8", "--k", "4", "--certify", certify]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --certify needs at least one check\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from matroid_invariants import invariants
 from matroid_invariants.matroid import (
     Matroid,
     boolean,
@@ -62,7 +65,8 @@ from matroid_invariants.invariants import (
     z_poly,
     z_uniform,
 )
-from matroid_invariants.poset import GradedPoset
+from matroid_invariants.poset import FlatsLattice, GradedPoset
+from test_poset import random_sparse_paving
 
 CHOW_ENGINES = (chow_chains, chow_char_conv, chow_intrinsic, chow_incidence_inv)
 AUG_ENGINES = (
@@ -179,6 +183,77 @@ def test_semismall_matches_other_engines():
         assert aug_chow_semismall(m) == aug_chow_contraction_conv(m), m
 
 
+# -- flat-set minors and the deletion engines on them ------------------------------------
+
+
+def _minor_stress(corpus):
+    rng = random.Random(6)
+    # boolean:n, uniform:n,n and uniform+coloop:n-1,n-1 are one matroid
+    distinct = {m.key(): m for _, m, _ in corpus if m.n <= 8 and m.is_loopless()}
+    out = list(distinct.values())
+    return out + [vamos()] + [random_sparse_paving(rng, 9, 4, 12) for _ in range(2)]
+
+
+def test_flat_set_minors_match_matroid_minors(corpus):
+    key_of = invariants._flat_key
+    for m in _minor_stress(corpus):
+        lat = lattice_of_flats(m)
+        key = key_of(lat)
+        for i in range(m.n):  # coloops included: their deletion lowers the rank
+            assert invariants._delete(key, i) == key_of(lattice_of_flats(m.delete(1 << i))), (m, i)
+        for f, r in zip(lat.flats, lat.ranks):
+            assert invariants._contract(key, f, r) == key_of(lattice_of_flats(m.contract(f))), (m, f)
+            assert invariants._restrict(key, f, r) == key_of(lattice_of_flats(m.restrict(f))), (m, f)
+
+
+def test_flat_set_lattice_equals_built_lattice(corpus):
+    for m in _minor_stress(corpus)[-3:]:
+        lat = lattice_of_flats(m)
+        rebuilt = FlatsLattice.from_levels(invariants._flat_key(lat)[1])
+        assert rebuilt.matroid is None
+        for attr in ("flats", "ranks", "by_rank", "up_mask", "down_mask", "above"):
+            assert getattr(rebuilt, attr) == getattr(lat, attr), (m, attr)
+
+
+DELETION_ENGINES = (chow_semismall, aug_chow_semismall, kl_bv_deletion, z_bv_deletion)
+
+
+def test_deletion_engines_match_lattice_engines():
+    for m in (complete_graph(5), complete_graph(6), uniform(4, 9), uniform(5, 10),
+              uniform(6, 12), boolean(6)):
+        lat = lattice_of_flats(m)
+        assert chow_semismall(m, lat) == chow_char_conv(m, lat), m
+        assert aug_chow_semismall(m, lat) == aug_chow_contraction_conv(m, lat), m
+        assert kl_bv_deletion(m, lat) == kl_poly(m, "epw", lat), m
+        assert z_bv_deletion(m, lat) == z_poly(m, "conv_def", lat), m
+
+
+def test_deletion_engines_with_and_without_a_lattice():
+    loopy = uniform(0, 1).direct_sum(uniform(2, 4))
+    for m in (vamos(), uniform(3, 6).add_coloop(), complete_graph(4), loopy):
+        core = m.delete(m.loops())
+        for engine in DELETION_ENGINES:
+            assert engine(m) == engine(m, lattice_of_flats(core)), (m, engine)
+
+
+def test_deletion_recursions_scan_no_bases(monkeypatch):
+    # given the lattice, the recursions read every minor off its flats; the
+    # coloop reaches the free-matroid branch
+    ms = (vamos(), uniform(3, 6).add_coloop())
+    lats = [lattice_of_flats(m) for m in ms]
+    expected = [[engine(m, lat) for engine in DELETION_ENGINES] for m, lat in zip(ms, lats)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a deletion recursion scanned bases or built a lattice")
+
+    for name in ("restrict", "contract", "rank_of", "closure"):
+        monkeypatch.setattr(Matroid, name, forbidden)
+    monkeypatch.setattr(FlatsLattice, "__init__", forbidden)
+    monkeypatch.setattr(invariants, "lattice_of_flats", forbidden)
+    for m, lat, values in zip(ms, lats, expected):
+        assert [engine(m, lat) for engine in DELETION_ENGINES] == values, m
+
+
 # -- uniform closed forms -----------------------------------------------------------------
 
 
@@ -246,9 +321,12 @@ def test_chow_of_paving_uses_counts():
 
 
 def test_chow_braid_against_lattice():
-    assert chow_braid(2) == ONE
+    assert chow_braid(1) == chow_braid(2) == ONE
     for n in range(2, 7):
         assert chow_braid(n) == chow_chains(complete_graph(n)), n
+    for n in range(3, 21):  # palindromic of degree rk - 1 = n - 2
+        p = chow_braid(n)
+        assert p.degree == n - 2 and p.coeffs == p.coeffs[::-1], n
     with pytest.raises(ValueError):
         chow_braid(0)
 
