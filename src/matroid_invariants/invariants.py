@@ -12,8 +12,9 @@ runs every applicable method and reports agreement.
 
 The lattice engines are kernels over `poset.interval_dp`, one pass over the
 comparable pairs of the lattice of flats per table; they differ only in the
-kernel of an interval (reduced characteristic polynomial, Moebius number,
-characteristic polynomial, rank-gap factor) and in the finishing step.
+kernel of an interval (reduced characteristic polynomial, Moebius number
+times 1 + ... + x^rank, characteristic polynomial, rank-gap factor), given
+as a coefficient tuple, and in the finishing step.
 
 The deletion engines (semismall, bv_deletion) take the same lattice and
 recurse over flat-set minors read off its flats: a minor is the key
@@ -121,13 +122,10 @@ def _chain_table(lat):
     u[F] = 1 + sum_{G > F} (x + ... + x^(rk G - rk F - 1)) u[G].  Gaps of 1
     give a zero factor and are skipped."""
     ranks = lat.ranks
-    gap_factor = [ones(g - 1).shift(1) for g in range(ranks[lat.top] + 1)]
-
-    def term(f, g, u):
-        gap = ranks[g] - ranks[f]
-        return gap_factor[gap] * u if gap >= 2 else ZERO
-
-    return interval_dp(lat, "chains", True, term, lambda f, s: ONE + s)
+    gap_factor = [ones(g - 1).shift(1).coeffs for g in range(ranks[lat.top] + 1)]
+    return interval_dp(
+        lat, "chains", True, lambda f, g: gap_factor[ranks[g] - ranks[f]], lambda f, s: ONE + s
+    )
 
 
 def chow_chains(m, lattice=None):
@@ -151,18 +149,14 @@ def aug_chow_chains(m, lattice=None):
 # -- convolution engines --------------------------------------------------------
 
 
-def _chibar_term(lat):
-    return lambda x, y, t: interval_chibar(lat, x, y) * t
+def _chibar_kernel(lat):
+    return lambda x, y: interval_chibar(lat, x, y).coeffs
 
 
-def _mobius_term(lat):
-    """mu(x, y)(1 + ... + x^(rk y - rk x)) * t, skipping mu = 0."""
-
-    def term(x, y, t):
-        mu = mobius(lat, x, y)
-        return (mu * ones(lat.ranks[y] - lat.ranks[x] + 1)) * t if mu else ZERO
-
-    return term
+def _mobius_kernel(lat):
+    """mu(x, y)(1 + ... + x^(rk y - rk x))."""
+    ranks = lat.ranks
+    return lambda x, y: (mobius(lat, x, y),) * (ranks[y] - ranks[x] + 1)
 
 
 def _negate(z, s):
@@ -172,7 +166,7 @@ def _negate(z, s):
 def _chow_upper_table(lat):
     """uH of every upper interval [F, top], by the reduced-characteristic
     convolution uH[F] = sum_{G > F} chibar([F, G]) * uH[G]."""
-    return interval_dp(lat, "chow_upper", True, _chibar_term(lat))
+    return interval_dp(lat, "chow_upper", True, _chibar_kernel(lat))
 
 
 def chow_char_conv(m, lattice=None):
@@ -202,7 +196,7 @@ def chow_incidence_inv(m, lattice=None):
     if not m.is_loopless():
         return ZERO
     lat = _lat(m, lattice)
-    return interval_dp(lat, "chow_lower", False, _chibar_term(lat))[lat.top]
+    return interval_dp(lat, "chow_lower", False, _chibar_kernel(lat))[lat.top]
 
 
 def aug_chow_contraction_conv(m, lattice=None):
@@ -225,13 +219,13 @@ def aug_chow_alt_conv(m, lattice=None):
 def aug_chow_mobius_conv(m, lattice=None):
     """H_M = -sum over nonempty flats of mu(0, F)(1 + ... + x^rk(F)) H(M/F)."""
     lat = _lat(m, lattice)
-    return interval_dp(lat, "aug_upper_mobius", True, _mobius_term(lat), _negate)[lat.bottom]
+    return interval_dp(lat, "aug_upper_mobius", True, _mobius_kernel(lat), _negate)[lat.bottom]
 
 
 def aug_chow_incidence_inv(m, lattice=None):
     """H_M = -sum_{F != E} H(M|F) * mu(F, E)(1 + ... + x^(rk M - rk F))."""
     lat = _lat(m, lattice)
-    return interval_dp(lat, "aug_lower_mobius", False, _mobius_term(lat), _negate)[lat.top]
+    return interval_dp(lat, "aug_lower_mobius", False, _mobius_kernel(lat), _negate)[lat.top]
 
 
 # -- flat-set minors ------------------------------------------------------------
@@ -628,7 +622,7 @@ def _kl_upper_table(lat):
     rk = lat.ranks[lat.top]
     return interval_dp(
         lat, "kl_upper", True,
-        lambda x, y, t: interval_char_poly(lat, x, y) * t,
+        lambda x, y: interval_char_poly(lat, x, y).coeffs,
         lambda z, s: _kl_truncate(s, rk - lat.ranks[z]),
     )
 

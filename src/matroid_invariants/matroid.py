@@ -231,14 +231,18 @@ class Matroid:
 
     def _is_paving(self):
         # circuit-size definition, valid with loops: rank <= 1 is always
-        # paving, and loops rule out paving once the rank exceeds 1
+        # paving, and loops rule out paving once the rank exceeds 1; a
+        # (rank-1)-set is independent iff one more element makes it a basis
         k = self.rank
         if k <= 1:
             return True
         if not self.is_loopless():
             return False
+        bases = self._bases_set
+        bits = [1 << e for e in range(self.n)]
         return all(
-            self.rank_of(a) == k - 1 for a in _subsets_of_size(self.full_mask, k - 1)
+            any(a | bit in bases for bit in bits)
+            for a in _subsets_of_size(self.full_mask, k - 1)
         )
 
     def is_sparse_paving(self):
@@ -247,15 +251,25 @@ class Matroid:
         return self.is_paving() and self.dual()._is_paving()
 
     def hyperplanes(self):
-        """All flats of rank rk(M) - 1, as masks."""
+        """All flats of rank rk(M) - 1, as masks.
+
+        Each is the closure of an independent (rank-1)-set a.  The elements e
+        with a + e a basis are exactly those outside cl(a), and there are
+        some iff a is independent."""
         k = self.rank
         if k == 0:
             return []
+        full = self.full_mask
+        bases = self._bases_set
+        bits = [1 << e for e in range(self.n)]
         seen = set()
-        for c in combinations(range(self.n), k - 1):
-            a = mask_of(c)
-            if self.rank_of(a) == k - 1:
-                seen.add(self.closure(a))
+        for a in _subsets_of_size(full, k - 1):
+            outside = 0
+            for bit in bits:
+                if a | bit in bases:
+                    outside |= bit
+            if outside:
+                seen.add(full & ~outside)
         return sorted(seen)
 
     def is_stressed(self, subset):

@@ -7,14 +7,21 @@ by the engines: `size`, `ranks[i]`, `order` (all ids in increasing rank
 order), `above[i]` (ids strictly above i, ascending by rank), `bottom`,
 `top`, `leq(i, j)`, and the order relation as int bitsets over ids,
 `up_mask[i]` (ids strictly above i) and `down_mask[i]` (ids strictly below
-i).  Interval data (Moebius numbers, interval characteristic polynomials,
-the per-interval polynomial tables) is cached on the object after first
-use; instances are immutable apart from those caches.
+i).  Instances are immutable apart from `_cache`, which holds, once first
+asked for:
+
+- `chi_rows[x]`: for every y >= x the coefficient tuple of chi([x, y]),
+  whose constant term is mu(x, y); one integer walk of each interval
+  [x, y] fills the whole row of its lower endpoint x;
+- `chibar_rows[x][y]`: the reduced characteristic polynomial of [x, y];
+- one table per `interval_dp` name.
 
 Every per-interval table, here and in `invariants`, is one `interval_dp`:
 the value at an element is a sum over the elements strictly above (or
 below) it of a kernel of the interval between them times the value there,
-followed by a finishing step.
+followed by a finishing step.  The kernel gives coefficients, and the
+product is taken in place, so a table costs one multiplication of small
+coefficient lists per comparable pair.
 """
 
 from __future__ import annotations
@@ -195,52 +202,67 @@ def lattice_of_flats(matroid):
 # -- Moebius numbers and interval characteristic polynomials -----------------
 
 
-def _mobius_row(p, x):
-    """All values mu(x, y) for y >= x, memoized on the poset."""
-    rows = p._cache.setdefault("mobius_rows", {})
+def _chi_row(p, x):
+    """Coefficient tuples of chi([x, y]) for every y >= x, memoized on the
+    poset.  One walk of each interval [x, y], in increasing rank of y,
+    sums mu(x, z) by the rank of z; the sums are the coefficients of
+    chi([x, y]) but its constant term, and mu(x, y) is minus their total."""
+    rows = p._cache.get("chi_rows")
+    if rows is None:
+        rows = p._cache["chi_rows"] = {}
     row = rows.get(x)
-    if row is None:
-        row = {x: 1}
-        from_x = p.up_mask[x] | (1 << x)
-        for y in p.above[x]:  # ascending rank order
-            row[y] = -sum(row[z] for z in set_of(p.down_mask[y] & from_x))
-        rows[x] = row
+    if row is not None:
+        return row
+    ranks, down = p.ranks, p.down_mask
+    rx = ranks[x]
+    from_x = p.up_mask[x] | (1 << x)
+    mu = [0] * p.size
+    mu[x] = 1
+    row = {x: (1,)}
+    for y in p.above[x]:  # ascending rank, so mu is known strictly below y
+        ry = ranks[y]
+        graded = [0] * (ry - rx + 1)
+        below = down[y] & from_x
+        while below:
+            low = below & -below
+            below ^= low
+            z = low.bit_length() - 1
+            graded[ry - ranks[z]] += mu[z]
+        graded[0] = mu[y] = -sum(graded)
+        row[y] = tuple(graded)
+    rows[x] = row
     return row
 
 
 def mobius(p, x, y):
     """Moebius number mu(x, y); 0 when x is not below y."""
-    if x == y:
-        return 1
-    if not p.leq(x, y):
-        return 0
-    return _mobius_row(p, x)[y]
+    chi = _chi_row(p, x).get(y)
+    return 0 if chi is None else chi[0]
 
 
 def interval_char_poly(p, x, y):
     """Characteristic polynomial of the interval [x, y]:
     sum_{x <= z <= y} mu(x, z) t^(rk y - rk z)."""
-    if not p.leq(x, y):
+    chi = _chi_row(p, x).get(y)
+    if chi is None:
         raise ValueError("not an interval")
-    row = _mobius_row(p, x)
-    ranks = p.ranks
-    ry = ranks[y]
-    out = [0] * (ry - ranks[x] + 1)
-    for z in set_of((p.down_mask[y] & p.up_mask[x]) | (1 << x) | (1 << y)):
-        out[ry - ranks[z]] += row[z]
-    return Poly(out)
+    return Poly(chi)
 
 
 def interval_chibar(p, x, y):
-    """Reduced characteristic polynomial of the interval [x, y]; by
-    convention -1 for the one-point interval."""
+    """Reduced characteristic polynomial of the interval [x, y], memoized;
+    by convention -1 for the one-point interval."""
     if x == y:
         return Poly((-1,))
-    table = p._cache.setdefault("chibar", {})
-    val = table.get((x, y))
+    rows = p._cache.get("chibar_rows")
+    if rows is None:
+        rows = p._cache["chibar_rows"] = {}
+    row = rows.get(x)
+    if row is None:
+        row = rows[x] = {}
+    val = row.get(y)
     if val is None:
-        val = exact_div_x_minus_1(interval_char_poly(p, x, y))
-        table[(x, y)] = val
+        val = row[y] = exact_div_x_minus_1(interval_char_poly(p, x, y))
     return val
 
 
@@ -293,7 +315,7 @@ def bergman_f_h(matroid, lattice=None):
     top = lat.top
     c = interval_dp(
         lat, "proper_chains", True,
-        lambda lo, hi, t: ZERO if hi == top else t,
+        lambda lo, hi: () if hi == top else (1,),
         lambda z, s: (ONE + s).shift(1),
     )
     f = Poly([c[lat.bottom].coeff(k - e) for e in range(k)])
@@ -315,16 +337,17 @@ def _compose_x_minus_1(f):
 # -- generic interval engines -------------------------------------------------
 
 
-def interval_dp(p, name, upward, term, finish=None):
+def interval_dp(p, name, upward, kernel, finish=None):
     """Table over all elements of p, cached as `p._cache[name]`.
 
     Going up, the top gets ONE and every other z gets
-    finish(z, sum over w > z of term(z, w, table[w])); going down, the
+    finish(z, sum over w > z of K(z, w) * table[w]); going down, the
     bottom gets ONE and z gets finish(z, sum over w < z of
-    term(w, z, table[w])).  So `term(x, y, value)` always sees the interval
-    [x, y] in order, and `value` is the entry at its end other than z.
-    Without `finish` the sum itself is stored.  The sum is one pass over the
-    comparable pairs, accumulated in a coefficient list.
+    K(w, z) * table[w]).  So `kernel(x, y)` always sees the interval [x, y]
+    in order; it returns the coefficient tuple of the interval's weight
+    K(x, y), empty for a zero weight.  Each weight is multiplied into one
+    coefficient list per element in place, so no polynomial is made per
+    comparable pair.  Without `finish` the sum itself is stored.
     """
     table = p._cache.get(name)
     if table is not None:
@@ -340,12 +363,15 @@ def interval_dp(p, name, upward, term, finish=None):
             continue
         acc = []
         for w in (p.above[z] if upward else set_of(p.down_mask[z])):
-            t = term(z, w, table[w]) if upward else term(w, z, table[w])
-            cs = t.coeffs
-            if len(cs) > len(acc):
-                acc.extend([0] * (len(cs) - len(acc)))
-            for d, c in enumerate(cs):
-                acc[d] += c
+            weight = kernel(z, w) if upward else kernel(w, z)
+            value = table[w].coeffs
+            need = len(weight) + len(value) - 1
+            if need > len(acc):
+                acc.extend([0] * (need - len(acc)))
+            for i, a in enumerate(weight):
+                if a:
+                    for j, b in enumerate(value, i):
+                        acc[j] += a * b
         table[z] = Poly(acc) if finish is None else finish(z, Poly(acc))
     p._cache[name] = table
     return table
@@ -356,14 +382,20 @@ def rank_sum(p, table):
     return sum((table[f].shift(r) for f, r in enumerate(p.ranks)), ZERO)
 
 
+def _rank_gap_monomial(p):
+    """Kernel x^(rk y - rk x)."""
+    ranks = p.ranks
+    monomials = [(0,) * gap + (1,) for gap in range(ranks[p.top] + 1)]
+    return lambda x, y: monomials[ranks[y] - ranks[x]]
+
+
 def chow_table(p):
     """Per-element table of the Chow-type polynomial of each upper interval
     [z, top], via the symmetric-decomposition recursion: with
     S(x) = sum_{F > z} x^(rk F - rk z) * table[F], split S = a + b into its
     palindromic parts and take -b."""
     return interval_dp(
-        p, "chow_table", True,
-        lambda x, y, t: t.shift(p.ranks[y] - p.ranks[x]),
+        p, "chow_table", True, _rank_gap_monomial(p),
         lambda z, s: -palindromic_decompose(s)[1],
     )
 
@@ -378,9 +410,7 @@ def kl_table(p):
         rho = rk - p.ranks[z]
         return Poly([s.coeff(rho - j) - s.coeff(j) for j in range((rho + 1) // 2)])
 
-    return interval_dp(
-        p, "kl_table", True, lambda x, y, t: t.shift(p.ranks[y] - p.ranks[x]), finish
-    )
+    return interval_dp(p, "kl_table", True, _rank_gap_monomial(p), finish)
 
 
 def kls_uH_general(p):

@@ -19,6 +19,7 @@ from matroid_invariants.matroid import (
     uniform,
     vamos,
 )
+from test_poset import stress_matroids
 
 EXPECTED_TUTTE = BivariatePoly(
     {
@@ -144,6 +145,52 @@ def test_paving_hierarchy_on_corpus(corpus):
             continue
         if m.is_sparse_paving():
             assert m.is_paving(), name
+
+
+def brute_paving(n, k, rank):
+    """Circuit-size definition from a rank function: every set of fewer than
+    k elements is independent."""
+    return all(rank(s) == s.bit_count() for s in range(1 << n) if s.bit_count() < k)
+
+
+def brute_hyperplanes(m):
+    """Sets of rank rk(M) - 1 that every further element raises to rk(M)."""
+    k = m.rank
+    if k == 0:
+        return []
+    return [
+        s
+        for s in range(1 << m.n)
+        if m.rank_of(s) == k - 1
+        and all(m.rank_of(s | 1 << e) == k for e in range(m.n) if not s >> e & 1)
+    ]
+
+
+def test_paving_scan_against_rank_oracle(corpus):
+    cases = [(name, m) for name, m, _ in corpus if m.n <= 10]
+    cases += [(name, m) for name, m in stress_matroids() if m.n <= 11]
+    cases += [(name + "+loop", Matroid(m.n + 1, m.bases, validate=False)) for name, m in cases[::7]]
+    # duals of matroids with coloops have loops: the dual scan of is_sparse_paving
+    cases += [(name + "*", m.dual()) for name, m in cases]
+    seen = set()
+    for name, m in cases:
+        full = m.full_mask
+        assert m.hyperplanes() == brute_hyperplanes(m), name
+        paving = brute_paving(m.n, m.rank, m.rank_of)
+        assert m._is_paving() == paving, name
+        if not m.is_loopless():
+            for predicate in (m.is_paving, m.is_sparse_paving):
+                with pytest.raises(ValueError):
+                    predicate()
+            seen.add("loops")
+            continue
+        dual_paving = brute_paving(
+            m.n, m.n - m.rank, lambda s: s.bit_count() + m.rank_of(full & ~s) - m.rank
+        )
+        assert m.is_paving() == paving, name
+        assert m.is_sparse_paving() == (paving and dual_paving), name
+        seen.add((paving, paving and dual_paving, bool(m.coloops())))
+    assert seen >= {"loops", (False, False, False), (True, False, True), (True, True, False)}
 
 
 def test_cusp_and_relaxation():

@@ -244,6 +244,60 @@ def test_mobius_against_zeta_inverse():
                     assert interval_char_poly(p, i, j) == Poly(expect), (p, i, j)
 
 
+def random_graded_poset(rng, length, width):
+    """Random bounded graded poset: levels of 1..width elements between a
+    bottom and a top, each element covering a random nonempty set of the
+    level below and covered by at least one element of the level above."""
+    sizes = [1] + [rng.randint(1, width) for _ in range(length - 1)] + [1]
+    ranks, levels = [], []
+    for r, size in enumerate(sizes):
+        levels.append(list(range(len(ranks), len(ranks) + size)))
+        ranks += [r] * size
+    covers = set()
+    for lower, upper in zip(levels, levels[1:]):
+        for hi in upper:
+            for lo in rng.sample(lower, rng.randint(1, len(lower))):
+                covers.add((lo, hi))
+        for lo in lower:
+            if not any((lo, hi) in covers for hi in upper):
+                covers.add((lo, rng.choice(upper)))
+    return GradedPoset(ranks, sorted(covers))
+
+
+def random_graded_posets():
+    rng = random.Random(20240607)
+    return [random_graded_poset(rng, length, width) for length in (1, 2, 3, 4, 5) for width in (1, 2, 4)]
+
+
+def test_random_posets_mobius_against_zeta_inverse():
+    for p in random_graded_posets():
+        inv = brute_mobius_matrix(p)
+        for i in range(p.size):
+            for j in range(p.size):
+                assert mobius(p, i, j) == inv[i][j], (p, i, j)
+
+
+def test_interval_polynomials_agree_on_every_pair(small_corpus, store):
+    posets = random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
+    posets += [store.lattice(m) for _, m, _ in small_corpus]
+    for p in posets:
+        for x in range(p.size):
+            for y in range(p.size):
+                if not p.leq(x, y):
+                    assert mobius(p, x, y) == 0
+                    for fn in (interval_char_poly, interval_chibar):
+                        with pytest.raises(ValueError):
+                            fn(p, x, y)
+                    continue
+                chi = interval_char_poly(p, x, y)
+                assert chi.coeff(0) == mobius(p, x, y), (p, x, y)
+                assert chi.degree == p.ranks[y] - p.ranks[x] and chi.coeffs[-1] == 1
+                if x == y:
+                    assert interval_chibar(p, x, y) == Poly((-1,))
+                else:
+                    assert interval_chibar(p, x, y) * (X - ONE) == chi, (p, x, y)
+
+
 def test_mobius_alternates_on_geometric_lattices(small_corpus, store):
     for name, m, _ in small_corpus:
         lat = store.lattice(m)
