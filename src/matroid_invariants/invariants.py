@@ -19,9 +19,9 @@ as a coefficient tuple, and in the finishing step.
 The deletion engines (semismall, bv_deletion) take the same lattice and
 recurse over flat-set minors read off its flats: a minor is the key
 (n, levels) of its flats by rank, which is also the memo key, so the
-recursions scan no bases and build no lattice of a minor.  Only `tau` of a
-contraction is read from the Kazhdan-Lusztig table of a lattice assembled
-from its flat set (`FlatsLattice.from_levels`).
+recursions scan no bases, build no lattice of a minor and share no
+interval table with the lattice engines.  bv_deletion reads `tau` of a
+contraction off the P that its own recursion computes for it.
 
 Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
 polynomial and characteristic polynomial vanish; the augmented Chow and
@@ -86,7 +86,6 @@ from .poly import (
     stirling2,
 )
 from .poset import (
-    FlatsLattice,
     bergman_f_h,
     interval_char_poly,
     interval_chibar,
@@ -672,15 +671,10 @@ def z_uniform(k, n):
     return acc
 
 
-def _tau(key):
-    """tau of a flat-set minor of odd rank, from the Kazhdan-Lusztig table of
-    a lattice assembled from its flats."""
-    levels = key[1]
-    lat = FlatsLattice.from_levels(levels)
-    return _kl_upper_table(lat)[lat.bottom].coeff((len(levels) - 2) // 2)
-
-
-def _bv_pair(key, memo, tau_memo):
+def _bv_pair(key, memo):
+    """(P, Z) of a flat-set minor by the deletion recursion.  tau of each
+    contraction M/(F+i) is the middle coefficient of its own P, from the
+    same recursion and memo: it has fewer elements, so the recursion ends."""
     val = memo.get(key)
     if val is not None:
         return val
@@ -694,21 +688,18 @@ def _bv_pair(key, memo, tau_memo):
             val = (ONE, (ONE + X) ** n)
         else:
             bit = 1 << i
-            p_del, z_del = _bv_pair(_delete(key, i), memo, tau_memo)
+            p_del, z_del = _bv_pair(_delete(key, i), memo)
             if bit in levels[1]:  # M/i is loopless iff {i} is a flat
-                p_con = _bv_pair(_contract(key, bit, 1), memo, tau_memo)[0]
+                p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
             else:
                 p_con = ZERO
             p_acc, z_acc = ZERO, ZERO
             for r, f in _s_families(key, i):
                 if (k - r) % 2:
                     continue  # tau of the even-rank contraction vanishes
-                minor = _contract(key, f | bit, r + 1)
-                t = tau_memo.get(minor)
-                if t is None:
-                    t = tau_memo[minor] = _tau(minor)
+                t = _bv_pair(_contract(key, f | bit, r + 1), memo)[0].coeff((k - r - 2) // 2)
                 if t:
-                    p_r, z_r = _bv_pair(_restrict(key, f, r), memo, tau_memo)
+                    p_r, z_r = _bv_pair(_restrict(key, f, r), memo)
                     shift = (k - r) // 2
                     p_acc = p_acc + (t * p_r).shift(shift)
                     z_acc = z_acc + (t * z_r).shift(shift)
@@ -722,12 +713,12 @@ def kl_bv_deletion(m, lattice=None):
     P_M = P(M-i) - x P(M/i) + sum_{F} tau(M/(F+i)) x^((k-rk F)/2) P(M|F)."""
     if not m.is_loopless():
         return ZERO
-    return _bv_pair(_flat_key(_lat(m, lattice)), {}, {})[0]
+    return _bv_pair(_flat_key(_lat(m, lattice)), {})[0]
 
 
 def z_bv_deletion(m, lattice=None):
     """Z_M by the deletion recursion (same shape, without the -x P(M/i) term)."""
-    return _bv_pair(_flat_key(_lat(m, lattice)), {}, {})[1]
+    return _bv_pair(_flat_key(_lat(m, lattice)), {})[1]
 
 
 # -- certification ------------------------------------------------------------------
@@ -836,14 +827,6 @@ class HrsReport:
     n: int
     h_poly: Poly
     direct_checked: bool
-
-    def to_json(self):
-        return {
-            "k": self.k,
-            "n": self.n,
-            "h": self.h_poly.to_json(),
-            "direct_checked": self.direct_checked,
-        }
 
 
 def hrs_identity(k, n, check_direct=None):

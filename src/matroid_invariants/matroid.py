@@ -133,10 +133,6 @@ class Matroid:
                 outside |= b
         return a | (self.full_mask & ~outside)
 
-    def is_independent(self, subset):
-        a = subset if isinstance(subset, int) else mask_of(subset)
-        return self.rank_of(a) == a.bit_count()
-
     def loops(self):
         union = 0
         for b in self.bases:

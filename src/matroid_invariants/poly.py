@@ -396,12 +396,16 @@ def series_inverse_prefix(p, n_terms):
 
 
 def exact_div_x_minus_1(p):
-    """Exact quotient p / (x - 1); raises if p(1) != 0."""
-    if p(1) != 0:
-        raise ValueError("polynomial is not divisible by x - 1")
-    out = [0] * max(p.degree, 0)
+    """Exact quotient p / (x - 1); raises if p(1) != 0.  Coefficient i of
+    the quotient is the sum of the coefficients of p above degree i, so one
+    walk down the coefficients divides, and the last sum plus the constant
+    term is p(1)."""
+    cs = p.coeffs
+    out = [0] * max(len(cs) - 1, 0)
     carry = 0
-    for i in range(p.degree, 0, -1):
-        carry += p.coeff(i)
+    for i in range(len(cs) - 1, 0, -1):
+        carry += cs[i]
         out[i - 1] = carry
+    if cs and carry + cs[0]:
+        raise ValueError("polynomial is not divisible by x - 1")
     return Poly(out)

@@ -114,10 +114,6 @@ class FlatsLattice:
     from the elements still to try, so there is one `closure` call per
     covering pair, and ranks come from the search level.  The order
     relation is then assembled from the covers as id bitsets.
-
-    `from_levels` assembles the same object from a flat set alone, with no
-    matroid and no bases scan; the deletion engines use it for the minors
-    they read off a lattice that is already built.
     """
 
     def __init__(self, matroid):
@@ -127,11 +123,11 @@ class FlatsLattice:
         k = matroid.rank
         full = matroid.full_mask
         bases = matroid.bases
-        by_rank = [[0]]
+        levels = [[0]]
         covers = {}  # flat -> the flats covering it
         for r in range(k):
             nxt = set()
-            for f in by_rank[r]:
+            for f in levels[r]:
                 spanning = [b for b in bases if (b & f).bit_count() == r]
                 covers[f] = ups = []
                 rest = full & ~f
@@ -140,31 +136,11 @@ class FlatsLattice:
                     rest &= ~g
                     ups.append(g)
                 nxt.update(ups)
-            by_rank.append(sorted(nxt))
-        self._assemble(by_rank, covers)
-
-    @classmethod
-    def from_levels(cls, levels):
-        """The lattice of a flat set given by rank: `levels[r]` lists the
-        masks of the rank-r flats in increasing order.  Its `matroid` is
-        None.  The covers of a flat are the flats one rank up that contain
-        it."""
-        lat = cls.__new__(cls)
-        lat.matroid = None
-        covers = {}
-        for lower, upper in zip(levels, levels[1:]):
-            for f in lower:
-                covers[f] = [g for g in upper if g & f == f]
-        lat._assemble(levels, covers)
-        return lat
-
-    def _assemble(self, levels, covers):
-        """Ids, ranks and the order bitsets from the flats by rank and the
-        covers of each flat."""
+            levels.append(sorted(nxt))
         flats = [f for flats_r in levels for f in flats_r]
         self.flats = tuple(flats)
         self.size = len(flats)
-        self.index = index = {f: i for i, f in enumerate(flats)}
+        index = {f: i for i, f in enumerate(flats)}
         self.ranks = tuple(r for r, flats_r in enumerate(levels) for _ in flats_r)
         self.order = range(self.size)  # ids are numbered by rank
         self.by_rank = [[index[f] for f in flats_r] for flats_r in levels]
@@ -179,16 +155,6 @@ class FlatsLattice:
 
     def leq(self, i, j):
         return self.flats[i] & self.flats[j] == self.flats[i]
-
-    def covers(self):
-        """Covering pairs (i, j); in a geometric lattice these are exactly
-        the comparable pairs whose ranks differ by one."""
-        return [
-            (i, j)
-            for i in range(self.size)
-            for j in self.above[i]
-            if self.ranks[j] == self.ranks[i] + 1
-        ]
 
     def __repr__(self):
         return "FlatsLattice(flats=%d, rank=%d)" % (self.size, self.ranks[self.top])

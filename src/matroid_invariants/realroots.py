@@ -30,10 +30,6 @@ class RatPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p.coeffs)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1

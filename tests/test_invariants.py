@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matroid_invariants import invariants
+from matroid_invariants import invariants, poset
 from matroid_invariants.matroid import (
     Matroid,
     boolean,
@@ -66,7 +66,7 @@ from matroid_invariants.invariants import (
     z_uniform,
 )
 from matroid_invariants.poset import FlatsLattice, GradedPoset
-from test_poset import random_sparse_paving
+from test_poset import random_graphic, random_sparse_paving
 
 CHOW_ENGINES = (chow_chains, chow_char_conv, chow_intrinsic, chow_incidence_inv)
 AUG_ENGINES = (
@@ -206,26 +206,45 @@ def test_flat_set_minors_match_matroid_minors(corpus):
             assert invariants._restrict(key, f, r) == key_of(lattice_of_flats(m.restrict(f))), (m, f)
 
 
-def test_flat_set_lattice_equals_built_lattice(corpus):
-    for m in _minor_stress(corpus)[-3:]:
-        lat = lattice_of_flats(m)
-        rebuilt = FlatsLattice.from_levels(invariants._flat_key(lat)[1])
-        assert rebuilt.matroid is None
-        for attr in ("flats", "ranks", "by_rank", "up_mask", "down_mask", "above"):
-            assert getattr(rebuilt, attr) == getattr(lat, attr), (m, attr)
-
-
 DELETION_ENGINES = (chow_semismall, aug_chow_semismall, kl_bv_deletion, z_bv_deletion)
 
 
+def _lattice_engine_values(m, lat):
+    return [chow_char_conv(m, lat), aug_chow_contraction_conv(m, lat),
+            kl_poly(m, "epw", lat), z_poly(m, "conv_def", lat)]
+
+
 def test_deletion_engines_match_lattice_engines():
-    for m in (complete_graph(5), complete_graph(6), uniform(4, 9), uniform(5, 10),
-              uniform(6, 12), boolean(6)):
+    # symmetric families, then inputs with little symmetry: sparse paving
+    # and graphic matroids past DELETION_ENGINE_LIMIT and the Tutte pair
+    rng = random.Random(11)
+    ms = [complete_graph(5), complete_graph(6), uniform(4, 9), uniform(5, 10),
+          uniform(6, 12), boolean(6)]
+    ms += [random_sparse_paving(rng, 11, 5, 20) for _ in range(2)]
+    ms += [random_graphic(rng, 7, 12), *equal_tutte_pair()]
+    for m in ms:
         lat = lattice_of_flats(m)
-        assert chow_semismall(m, lat) == chow_char_conv(m, lat), m
-        assert aug_chow_semismall(m, lat) == aug_chow_contraction_conv(m, lat), m
-        assert kl_bv_deletion(m, lat) == kl_poly(m, "epw", lat), m
-        assert z_bv_deletion(m, lat) == z_poly(m, "conv_def", lat), m
+        values = [engine(m, lat) for engine in DELETION_ENGINES]
+        assert values == _lattice_engine_values(m, lat), m
+
+
+def test_deletion_engines_use_no_interval_table(monkeypatch):
+    # the deletion recursions share no chi, mu or table layer with the
+    # lattice engines they are checked against
+    ms = (vamos(), uniform(3, 6).add_coloop(), uniform(5, 10))
+    lats = [lattice_of_flats(m) for m in ms]
+    expected = [_lattice_engine_values(m, lat) for m, lat in zip(ms, lats)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a deletion recursion used an interval table")
+
+    monkeypatch.setattr(invariants, "_kl_upper_table", forbidden)
+    for name in ("interval_dp", "interval_char_poly", "interval_chibar", "mobius"):
+        monkeypatch.setattr(invariants, name, forbidden)
+        monkeypatch.setattr(poset, name, forbidden)
+    monkeypatch.setattr(poset, "_chi_row", forbidden)
+    for m, lat, values in zip(ms, lats, expected):
+        assert [engine(m, lat) for engine in DELETION_ENGINES] == values, m
 
 
 def test_deletion_engines_with_and_without_a_lattice():
@@ -643,8 +662,6 @@ def test_non_applicable_methods_raise():
 
 
 def test_invariant_report_builds_one_lattice_with_loops(monkeypatch):
-    from matroid_invariants import poset
-
     builds = []
     init = poset.FlatsLattice.__init__
 

@@ -119,6 +119,16 @@ def test_exact_div_x_minus_1():
     assert exact_div_x_minus_1(Poly([-1, 0, 1])) == Poly([1, 1])
     with pytest.raises(ValueError):
         exact_div_x_minus_1(Poly([1, 1]))
+    assert exact_div_x_minus_1(ZERO) == ZERO
+    with pytest.raises(ValueError):
+        exact_div_x_minus_1(Poly([5]))
+    rng = random.Random(8)
+    for _ in range(50):
+        q = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))])
+        p = (X - ONE) * q
+        assert exact_div_x_minus_1(p) == q, q
+        with pytest.raises(ValueError):
+            exact_div_x_minus_1(p + ONE)
 
 
 # -- classical families ---------------------------------------------------------

@@ -209,12 +209,6 @@ def test_lattice_requires_loopless():
         lattice_of_flats(Matroid.from_bases(2, [{0}]))
 
 
-def test_lattice_cover_ranks():
-    lat = lattice_of_flats(uniform(3, 5))
-    for i, j in lat.covers():
-        assert lat.ranks[j] == lat.ranks[i] + 1
-
-
 # -- Moebius -----------------------------------------------------------------------
 
 
