@@ -331,8 +331,6 @@ def cmd_equivariant(args):
 
 def cmd_whitney_inverse(args):
     m, _ = parse_matroid_spec(args.spec)
-    if not m.is_loopless():
-        raise SpecError("Whitney numbers need a loopless matroid")
     w = whitney_numbers(m)
     prefix = _alt_inverse_prefix(w, 2 * m.rank if args.terms is None else _term_count(args.terms))
     payload = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .invariants import kl_uniform
 from .poly import Poly
 
 

@@ -529,7 +529,12 @@ def _check_uniform_args(k, n):
 # -- closed forms: paving matroids ------------------------------------------------
 
 
-def _check_paving_args(k, counts):
+def _paving_form(uniform, coloop, k, n, counts):
+    """f of a paving matroid of rank k on n elements from its stressed
+    hyperplane counts {h: lambda_h}:
+    f(U_{k,n}) - sum_h lambda_h (f(U_{k,h+1}) - f(U_{k-1,h} + coloop)),
+    where `uniform(k, n)` and `coloop(k, n)` give f on U_{k,n} and on
+    U_{k,n} plus a coloop."""
     if k < 1:
         raise ValueError("paving formula needs rank at least 1")
     for h, lam in counts.items():
@@ -537,50 +542,43 @@ def _check_paving_args(k, counts):
             raise ValueError("stressed hyperplane counts must be nonnegative")
         if h < k and lam:
             raise ValueError("stressed hyperplanes entering the formula have size >= rank")
+    acc = uniform(k, n)
+    for h, lam in counts.items():
+        if lam:
+            acc = acc - lam * (uniform(k, h + 1) - coloop(k - 1, h))
+    return acc
 
 
 def chow_paving(k, n, counts):
     """uH of a paving matroid of rank k on n elements from its stressed
-    hyperplane counts {h: lambda_h}:
-    uH(U_{k,n}) - sum_h lambda_h (uH(U_{k,h+1}) - uH(U_{k-1,h} + coloop))."""
-    _check_paving_args(k, counts)
-    acc = chow_uniform(k, n)
-    for h, lam in counts.items():
-        if lam:
-            acc = acc - lam * (chow_uniform(k, h + 1) - chow_uniform_coloop(k - 1, h))
-    return acc
+    hyperplane counts {h: lambda_h}, by `_paving_form`."""
+    return _paving_form(chow_uniform, chow_uniform_coloop, k, n, counts)
 
 
 def aug_chow_paving(k, n, counts):
-    """Augmented variant of the paving closed form."""
-    _check_paving_args(k, counts)
-    acc = aug_chow_uniform(k, n)
-    for h, lam in counts.items():
-        if lam:
-            acc = acc - lam * (
-                aug_chow_uniform(k, h + 1) - aug_chow_uniform_coloop(k - 1, h)
-            )
-    return acc
+    """H of a paving matroid of rank k on n elements from its stressed
+    hyperplane counts {h: lambda_h}, by `_paving_form`."""
+    return _paving_form(aug_chow_uniform, aug_chow_uniform_coloop, k, n, counts)
 
 
-def chow_of_paving(m):
-    """Fast path: uH of a paving matroid via its stressed hyperplane counts."""
-    if not m.is_loopless():
-        return ZERO
+def _of_paving(form, m):
+    """`form` of a loopless paving matroid, from its stressed hyperplane
+    counts; 1 in rank 0."""
     if m.rank == 0:
         return ONE
     if not m.is_paving():
         raise ValueError("matroid is not paving")
-    return chow_paving(m.rank, m.n, m.stressed_hyperplane_counts())
+    return form(m.rank, m.n, m.stressed_hyperplane_counts())
+
+
+def chow_of_paving(m):
+    """Fast path: uH of a paving matroid via its stressed hyperplane counts."""
+    return _of_paving(chow_paving, m) if m.is_loopless() else ZERO
 
 
 def aug_chow_of_paving(m):
-    core = _loopless_core(m)
-    if core.rank == 0:
-        return ONE
-    if not core.is_paving():
-        raise ValueError("matroid is not paving")
-    return aug_chow_paving(core.rank, core.n, core.stressed_hyperplane_counts())
+    """Fast path: H of a matroid whose loopless core is paving."""
+    return _of_paving(aug_chow_paving, _loopless_core(m))
 
 
 # -- closed form: braid matroids ---------------------------------------------------
@@ -728,7 +726,6 @@ def z_bv_deletion(m, lattice=None):
 class GammaEntry:
     name: str
     poly: Poly
-    center: int
     gamma: Poly | None
     ok: bool
 
@@ -762,8 +759,8 @@ def _gamma_entry(name, poly, center):
     try:
         g = gamma_vector(poly, center)
     except NotPalindromic:
-        return GammaEntry(name, poly, center, None, False)
-    return GammaEntry(name, poly, center, g, all(c >= 0 for c in g.coeffs))
+        return GammaEntry(name, poly, None, False)
+    return GammaEntry(name, poly, g, all(c >= 0 for c in g.coeffs))
 
 
 def _gamma_report(k, uh, h, z):
@@ -863,17 +860,15 @@ def hrs_identity(k, n, check_direct=None):
 
 
 def _has_uniform_plus_coloop_form(m):
+    """(k, n) when m's loopless core is U_{k,n} plus a coloop, else None.
+    With two coloops, deleting one leaves a coloop, so the rest is uniform
+    only when it is free; then any coloop answers, so the lowest is tried."""
     core = _loopless_core(m)
     coloops = core.coloops()
-    e = 0
-    while coloops:
-        if coloops & 1:
-            rest = core.delete(1 << e)
-            if rest.is_uniform():
-                return rest.rank, rest.n
-        coloops >>= 1
-        e += 1
-    return None
+    if not coloops:
+        return None
+    rest = core.delete(coloops & -coloops)
+    return (rest.rank, rest.n) if rest.is_uniform() else None
 
 
 # -- the method registry ----------------------------------------------------------

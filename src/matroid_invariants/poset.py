@@ -2,13 +2,14 @@
 interval engines that compute Chow-type and Kazhdan-Lusztig-type
 polynomials on any finite bounded graded poset.
 
-Both `GradedPoset` and `FlatsLattice` expose the same small interface used
-by the engines: `size`, `ranks[i]`, `order` (all ids in increasing rank
-order), `above[i]` (ids strictly above i, ascending by rank), `bottom`,
-`top`, `leq(i, j)`, and the order relation as int bitsets over ids,
-`up_mask[i]` (ids strictly above i) and `down_mask[i]` (ids strictly below
-i).  Instances are immutable apart from `_cache`, which holds, once first
-asked for:
+A `GradedPoset` is built from ranks and cover pairs, and `FlatsLattice`,
+the lattice of flats of a matroid, is a `GradedPoset` whose covers come from
+a closure search.  The engines use one small interface: `size`, `ranks[i]`,
+`order` (all ids in increasing rank order), `above[i]` (ids strictly above
+i, ascending by rank, then by id), `bottom`, `top`, `leq(i, j)`, and the
+order relation as int bitsets over ids, `up_mask[i]` (ids strictly above i)
+and `down_mask[i]` (ids strictly below i).  Instances are immutable apart
+from `_cache`, which holds, once first asked for:
 
 - `chi_rows[x]`: for every y >= x the coefficient tuple of chi([x, y]),
   whose constant term is mu(x, y); one integer walk of each interval
@@ -26,25 +27,8 @@ coefficient lists per comparable pair.
 
 from __future__ import annotations
 
-from .matroid import mask_of, set_of
+from .matroid import set_of
 from .poly import ONE, Poly, X, ZERO, exact_div_x_minus_1, palindromic_decompose
-
-
-def _order_masks(covers_up, order):
-    """`up_mask` and `down_mask` from the cover bitsets `covers_up[i]`,
-    given the ids in increasing rank order."""
-    up_mask = [0] * len(covers_up)
-    down_mask = [0] * len(covers_up)
-    for i in reversed(order):
-        acc = 0
-        for j in set_of(covers_up[i]):
-            acc |= (1 << j) | up_mask[j]
-        up_mask[i] = acc
-    for i in order:
-        at_or_below = down_mask[i] | (1 << i)
-        for j in set_of(covers_up[i]):
-            down_mask[j] |= at_or_below
-    return up_mask, down_mask
 
 
 class GradedPoset:
@@ -64,8 +48,20 @@ class GradedPoset:
                     "cover (%d, %d) does not raise rank by exactly 1" % (lo, hi)
                 )
             up[lo] |= 1 << hi
-        order = sorted(range(m), key=lambda i: ranks[i])
-        up_mask, down_mask = _order_masks(up, order)
+        order = sorted(range(m), key=ranks.__getitem__)
+        # the order relation from the covers: the ids above i by decreasing
+        # rank of i, the ids below by increasing rank
+        up_mask = [0] * m
+        down_mask = [0] * m
+        for i in reversed(order):
+            acc = 0
+            for j in set_of(up[i]):
+                acc |= (1 << j) | up_mask[j]
+            up_mask[i] = acc
+        for i in order:
+            at_or_below = down_mask[i] | (1 << i)
+            for j in set_of(up[i]):
+                down_mask[j] |= at_or_below
         bottoms = [i for i in range(m) if not down_mask[i]]
         tops = [i for i in range(m) if not up_mask[i]]
         if len(bottoms) != 1 or len(tops) != 1:
@@ -80,7 +76,8 @@ class GradedPoset:
         self.order = order
         self.up_mask = up_mask
         self.down_mask = down_mask
-        self.above = [sorted(set_of(a), key=lambda j: (ranks[j], j)) for a in up_mask]
+        # set_of lists ids ascending, so a stable sort by rank orders by (rank, id)
+        self.above = [sorted(set_of(a), key=ranks.__getitem__) for a in up_mask]
         self._cache = {}
 
     def leq(self, i, j):
@@ -102,7 +99,7 @@ class GradedPoset:
         return "GradedPoset(size=%d, length=%d)" % (self.size, self.ranks[self.top])
 
 
-class FlatsLattice:
+class FlatsLattice(GradedPoset):
     """Lattice of flats of a loopless matroid, flats as bit masks by rank.
 
     Flats get ids by rank, then by mask.  The build is a breadth-first
@@ -112,14 +109,13 @@ class FlatsLattice:
     elements; they hold every basis that attains rank r + 1 on F + e, so
     each closure scans only them.  Each closure strips its whole cover
     from the elements still to try, so there is one `closure` call per
-    covering pair, and ranks come from the search level.  The order
-    relation is then assembled from the covers as id bitsets.
+    covering pair, and ranks come from the search level.  The ranks and
+    the covering pairs of ids then make the `GradedPoset`.
     """
 
     def __init__(self, matroid):
         if not matroid.is_loopless():
             raise ValueError("the lattice of flats requires a loopless matroid")
-        self.matroid = matroid
         k = matroid.rank
         full = matroid.full_mask
         bases = matroid.bases
@@ -138,23 +134,14 @@ class FlatsLattice:
                 nxt.update(ups)
             levels.append(sorted(nxt))
         flats = [f for flats_r in levels for f in flats_r]
-        self.flats = tuple(flats)
-        self.size = len(flats)
         index = {f: i for i, f in enumerate(flats)}
-        self.ranks = tuple(r for r, flats_r in enumerate(levels) for _ in flats_r)
-        self.order = range(self.size)  # ids are numbered by rank
+        self.matroid = matroid
+        self.flats = tuple(flats)
         self.by_rank = [[index[f] for f in flats_r] for flats_r in levels]
-        self.bottom = 0
-        self.top = self.size - 1
-        covers_up = [0] * self.size
-        for f, ups in covers.items():
-            covers_up[index[f]] = mask_of(index[g] for g in ups)
-        self.up_mask, self.down_mask = _order_masks(covers_up, self.order)
-        self.above = [set_of(a) for a in self.up_mask]
-        self._cache = {}
-
-    def leq(self, i, j):
-        return self.flats[i] & self.flats[j] == self.flats[i]
+        super().__init__(
+            (r for r, flats_r in enumerate(levels) for _ in flats_r),
+            ((index[f], index[g]) for f, ups in covers.items() for g in ups),
+        )
 
     def __repr__(self):
         return "FlatsLattice(flats=%d, rank=%d)" % (self.size, self.ranks[self.top])
@@ -285,19 +272,7 @@ def bergman_f_h(matroid, lattice=None):
         lambda z, s: (ONE + s).shift(1),
     )
     f = Poly([c[lat.bottom].coeff(k - e) for e in range(k)])
-    return f, _compose_x_minus_1(f)
-
-
-def _compose_x_minus_1(f):
-    """f(x - 1), exactly."""
-    acc = ZERO
-    shifted = ONE
-    base = X - ONE
-    for c in f.coeffs:
-        if c:
-            acc = acc + c * shifted
-        shifted = shifted * base
-    return acc
+    return f, f(X - ONE)
 
 
 # -- generic interval engines -------------------------------------------------

@@ -362,13 +362,10 @@ def interlaces(p, q):
     if p.degree == 0:
         return True
 
-    both = squarefree_part(p * q)
-    intervals = isolate_real_roots(Poly(both))
-    bound = cauchy_bound(both)
-    samples = [-bound] + [hi for (_, hi) in intervals]
+    # the counts change only at roots of p * q; left of them both are 0
     count_p = _root_counter(p)
     count_q = _root_counter(q)
-    for s in samples:
+    for _, s in isolate_real_roots(p * q):
         np_, nq = count_p(s), count_q(s)
         if not (np_ <= nq <= np_ + 1):
             return False

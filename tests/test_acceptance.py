@@ -52,8 +52,6 @@ from matroid_invariants.poly import (
     binomial_eulerian,
     derangement,
     eulerian,
-    gamma_vector,
-    is_nonneg,
     ones,
     series_inverse_prefix,
 )
@@ -63,7 +61,7 @@ from matroid_invariants.poset import (
     kls_H_general,
     kls_uH_general,
 )
-from matroid_invariants.realroots import interlaces, real_rooted
+from matroid_invariants.realroots import real_rooted
 
 TABLE_UH_CORANK1 = {
     1: [1],

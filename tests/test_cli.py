@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from matroid_invariants import poset
+from matroid_invariants import cli, poset
 from matroid_invariants.cli import main, parse_matroid_spec
 from matroid_invariants.matroid import Matroid, boolean, complete_graph, uniform, vamos
 from matroid_invariants.poly import binomial_eulerian
@@ -227,6 +227,7 @@ def test_usage_errors_print_one_line(capsys):
         ["equivariant", "--uniform", "2,4", "--kind", "kl", "--restrict", "9"],
         ["invariant", "file:%s" % os.path.join(FIXTURES, "missing.json"), "chow", "all"],
         ["certify", "uniform:3,5", "koszul-prefix:x"],
+        ["whitney-inverse", "dual(uniform:3,3)"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -285,6 +286,23 @@ def test_sweep_vamos_parameters_reproduce_vamos(capsys):
     from matroid_invariants.invariants import chow_paving
 
     assert chow_paving(4, 8, {4: 5}).coeffs == (1, 70, 70, 1)
+
+
+def test_sweep_reports_failures(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "real_rooted", lambda q: False)
+    argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--lambda-max", "3", "--jobs", "1"]
+    code, data = run_json(capsys, *argv)
+    assert code == 3
+    assert data["count"] == 4 and data["failures"] == 4
+    assert data["first_failure"]["lambda"] == 0
+    details = data["first_failure"]["details"]
+    assert [d["poly"] for d in details] == ["chow", "augchow"]
+    for d in details:
+        assert d["check"] == "real-rooted" and d["coeffs"] and set(d) == {"check", "poly", "coeffs"}
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert "4 cases, 4 failures" in out
+    assert "first failure at lambda=0: " in out
 
 
 def test_sweep_invalid_range(capsys):

@@ -27,7 +27,6 @@ def test_specht_dims():
     assert specht_dim((2, 2)) == 2
     assert specht_dim((3, 2, 1)) == 16
     # dimensions square-sum to the group order for a full level
-    from itertools import combinations
     from math import factorial
 
     def partitions(m):

@@ -9,7 +9,6 @@ from matroid_invariants.matroid import (
     complete_graph,
     empty_matroid,
     equal_tutte_pair,
-    mask_of,
     uniform,
     vamos,
 )
@@ -20,7 +19,6 @@ from matroid_invariants.poly import (
     ZERO,
     binomial_eulerian,
     eulerian,
-    gamma_vector,
     ones,
 )
 from matroid_invariants.poset import interval_chibar, lattice_of_flats

@@ -18,7 +18,6 @@ from matroid_invariants.matroid import (
 )
 from matroid_invariants.poly import ONE, Poly, X, ZERO, eulerian, ones
 from matroid_invariants.poset import (
-    FlatsLattice,
     GradedPoset,
     bergman_f_h,
     char_poly,
@@ -183,6 +182,24 @@ def test_lattice_matches_reference_build(small_corpus):
         for i in range(lat.size):
             assert lat.up_mask[i] == mask_of(above[i]), (name, i)
             assert lat.down_mask[i] == mask_of(j for j in range(lat.size) if i in above[j]), (name, i)
+
+
+def test_lattice_is_the_graded_poset_of_its_covers(small_corpus):
+    cases = [(name, m) for name, m, _ in small_corpus] + stress_matroids()
+    for name, m in cases:
+        lat = lattice_of_flats(m)
+        again = GradedPoset.from_json(lat.to_json())
+        assert again.ranks == lat.ranks, name
+        assert again.order == lat.order, name
+        assert again.up_mask == lat.up_mask, name
+        assert again.down_mask == lat.down_mask, name
+        assert again.above == lat.above, name
+        assert (again.bottom, again.top) == (lat.bottom, lat.top), name
+        flats = lat.flats
+        for i, f in enumerate(flats):
+            for j, g in enumerate(flats):
+                # reference: containment of flats
+                assert lat.leq(i, j) == (f & g == f), (name, i, j)
 
 
 def test_narrowed_closure_matches_full_closure():

@@ -225,6 +225,43 @@ def test_interlaces_alternation_property():
     assert not interlaces(p, q)
 
 
+def rational_root_poly(roots, sign):
+    """sign * prod (b x - a) over the roots a / b."""
+    p = Poly([sign])
+    for r in roots:
+        p = p * Poly([-r.numerator, r.denominator])
+    return p
+
+
+def merged_interlacing(proots, qroots):
+    """Oracle: q_1 <= p_1 <= q_2 <= p_2 <= ... on the sorted root lists."""
+    merged = [None] * (len(proots) + len(qroots))
+    merged[0::2], merged[1::2] = sorted(qroots), sorted(proots)
+    return all(a <= b for a, b in zip(merged, merged[1:]))
+
+
+def test_interlaces_against_merged_roots():
+    rng = random.Random(2024)
+    verdicts = set()
+    for trial in range(300):
+        pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        deg_p = rng.randint(0, 4)
+        deg_q = deg_p + rng.randint(0, 1)
+        qroots = sorted(rng.choice(pool) for _ in range(deg_q))  # repeats and shared roots
+        if trial % 2 and deg_q == deg_p + 1:
+            # interlacing by construction: p_i drawn from [q_i, q_(i+1)]
+            proots = [rng.choice([r for r in pool + qroots if qroots[i] <= r <= qroots[i + 1]])
+                      for i in range(deg_p)]
+        else:
+            proots = [rng.choice(pool + qroots) for _ in range(deg_p)]
+        p = rational_root_poly(proots, rng.choice((1, -1)))
+        q = rational_root_poly(qroots, rng.choice((1, -1)))
+        expected = merged_interlacing(proots, qroots)
+        assert interlaces(p, q) == expected, (proots, qroots)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_derivative_interlaces():
     for n in (3, 5, 7):
         p = eulerian(n)
