@@ -173,7 +173,11 @@ def _parse_checks(tokens):
         name, sep, arg = t.partition(":")
         if name not in CHECKS or bool(sep) != (name == "koszul-prefix"):
             raise SpecError("unknown check %r" % t)
-        checks.append((name, _term_count(int(arg)) if sep else None))
+        try:
+            terms = int(arg) if sep else None
+        except ValueError:
+            raise SpecError("check %r needs an integer term count" % t) from None
+        checks.append((name, _term_count(terms) if sep else None))
     return checks
 
 
@@ -395,7 +399,9 @@ def cmd_sweep(args):
     for name, _ in _parse_checks(checks):
         if name not in SWEEP_CHECKS:
             raise SpecError("check %r does not apply to sweep" % name)
-    jobs = max(args.jobs, 1)
+    jobs = args.jobs
+    if jobs < 1:
+        raise SpecError("--jobs must be at least 1, got %d" % jobs)
     deadline = time.monotonic() + args.timeout_secs if args.timeout_secs else None
     payloads = [(k, n, lam, checks) for lam in range(lam_min, lam_max + 1)]
     results = []
@@ -405,6 +411,8 @@ def cmd_sweep(args):
         for r in mapped:
             results.append(r)
             if deadline and time.monotonic() > deadline:
+                if pool:  # drop the queued chunks, or leaving the block waits for them
+                    pool.shutdown(cancel_futures=True)
                 raise TimeoutError("timeout exceeded")
     failures = [(lam, f) for lam, f in results if f]
     payload = {
@@ -434,6 +442,8 @@ def cmd_sweep(args):
 
 
 def cmd_hrs(args):
+    if args.max_n < 1:
+        raise SpecError("--max-n must be at least 1, got %d" % args.max_n)
     results = []
     ok = True
     for n in range(1, args.max_n + 1):

@@ -233,23 +233,18 @@ def eq_kl_uniform(k, n):
     symmetric group, by the explicit coefficient formula: degree 0 is the
     trivial representation and for 0 < i < k/2 the coefficient is the sum of
     V over shapes [n-2i-b+1, b+1, 2, ..., 2] (with i-1 twos) for
-    1 <= b <= min(n-k, k-2i).  Shapes failing monotonicity are skipped as
-    empty summands."""
+    1 <= b <= min(n-k, k-2i).  Each shape is a partition, since 2b <= n - 2i
+    makes its first part at least its second, and distinct b give distinct
+    shapes, so every multiplicity is 1."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     degrees = {0: VirtualRep.irreducible([n] if n else [])}
     i = 1
     while 2 * i < k:
-        mult = {}
-        for b in range(1, min(n - k, k - 2 * i) + 1):
-            shape = [n - 2 * i - b + 1, b + 1] + [2] * (i - 1)
-            if any(shape[j] < shape[j + 1] for j in range(len(shape) - 1)):
-                continue
-            if shape[-1] <= 0:
-                continue
-            lam = tuple(shape)
-            mult[lam] = mult.get(lam, 0) + 1
-        degrees[i] = VirtualRep(n, mult)
+        degrees[i] = VirtualRep(n, {
+            (n - 2 * i - b + 1, b + 1) + (2,) * (i - 1): 1
+            for b in range(1, min(n - k, k - 2 * i) + 1)
+        })
         i += 1
     return GradedVirtualRep(n, degrees)
 

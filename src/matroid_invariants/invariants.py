@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .matroid import uniform
+from .matroid import squeeze, uniform
 from .poly import (
     ONE,
     Poly,
@@ -246,30 +246,6 @@ def _flat_key(lat):
     )
 
 
-def _squeeze(masks, keep):
-    """The masks, each inside `keep`, with the elements of `keep` renumbered
-    0, 1, ... in increasing order; order is preserved."""
-    runs = []  # (run of consecutive elements of keep, how far it moves down)
-    done = 0
-    while keep:
-        lo = (keep & -keep).bit_length() - 1
-        length = (~keep >> lo & (keep >> lo) + 1).bit_length() - 1
-        run = ((1 << length) - 1) << lo
-        runs.append((run, lo - done))
-        keep ^= run
-        done += length
-    if len(runs) == 1:
-        ((run, shift),) = runs
-        return [f >> shift for f in masks]
-    out = []
-    for f in masks:
-        g = 0
-        for run, shift in runs:
-            g |= (f & run) >> shift
-        out.append(g)
-    return out
-
-
 def _delete(key, i):
     """M - i: the flats F - i, each at the least rank of the flats F it comes
     from.  Deleting a coloop lowers the rank, so a trailing empty level is
@@ -281,7 +257,7 @@ def _delete(key, i):
     out = []
     for flats_r in levels:
         level = []
-        for g in _squeeze([f & ~bit for f in flats_r], keep):
+        for g in squeeze([f & ~bit for f in flats_r], keep):
             if g not in seen:
                 seen.add(g)
                 level.append(g)
@@ -297,7 +273,7 @@ def _contract(key, a, ra):
     n, levels = key
     keep = ((1 << n) - 1) ^ a
     return n - a.bit_count(), tuple(
-        tuple(_squeeze([g ^ a for g in flats_r if g & a == a], keep)) for flats_r in levels[ra:]
+        tuple(squeeze([g ^ a for g in flats_r if g & a == a], keep)) for flats_r in levels[ra:]
     )
 
 
@@ -305,7 +281,7 @@ def _restrict(key, f, rf):
     """M|F for a flat F of rank rf: the flats inside F."""
     levels = key[1]
     return f.bit_count(), tuple(
-        tuple(_squeeze([g for g in flats_r if not g & ~f], f)) for flats_r in levels[: rf + 1]
+        tuple(squeeze([g for g in flats_r if not g & ~f], f)) for flats_r in levels[: rf + 1]
     )
 
 
@@ -625,14 +601,15 @@ def _kl_upper_table(lat):
 
 
 def kl_poly(m, method="epw", lattice=None):
-    """Kazhdan-Lusztig polynomial of a matroid (zero when there are loops)."""
-    engine = _engine("kl", method)
-    return engine(m, lattice, None) if m.is_loopless() else ZERO
+    """Kazhdan-Lusztig polynomial of a matroid (zero when there are loops),
+    by `compute_invariant`."""
+    return compute_invariant(m, "kl", method, None, lattice)
 
 
 def z_poly(m, method="conv_def", lattice=None):
-    """Z-polynomial of a matroid (loops are deleted first)."""
-    return _engine("z", method)(m, lattice, None)
+    """Z-polynomial of a matroid (loops are deleted first), by
+    `compute_invariant`."""
+    return compute_invariant(m, "z", method, None, lattice)
 
 
 def tau(m, lattice=None):
@@ -874,9 +851,11 @@ def _has_uniform_plus_coloop_form(m):
 # -- the method registry ----------------------------------------------------------
 #
 # METHODS[kind][method] = (engine, applies).  `engine(m, lattice, braid_n)`
-# runs the method and raises ValueError where it cannot; `applicable_methods`
-# lists it when `applies` is None or `applies(m, braid_n)` holds.  Each
-# kind's methods are in the canonical order of the reports.
+# computes the method and raises ValueError where it cannot; only
+# `compute_invariant` calls it, and `kl_poly`, `z_poly` and the reports go
+# through that.  `applicable_methods` lists a method when `applies` is None
+# or `applies(m, braid_n)` holds.  Each kind's methods are in the canonical
+# order of the reports.
 
 
 def _uniform_form(form, method):
@@ -949,7 +928,7 @@ METHODS = {
             lambda m, braid_n: _has_uniform_plus_coloop_form(m) is not None,
         ),
     },
-    "kl": {  # kl_poly answers 0 for matroids with loops before any engine runs
+    "kl": {  # compute_invariant answers 0 for matroids with loops
         "epw": (_kl_epw, None),
         "intrinsic": (lambda m, lat, b: kls_P_general(_lat(m, lat)), None),
         "bv_deletion": (lambda m, lat, b: kl_bv_deletion(m, lat), _small),
@@ -961,15 +940,6 @@ METHODS = {
     },
 }
 KINDS = {kind: tuple(methods) for kind, methods in METHODS.items()}
-CHOW_METHODS, AUGCHOW_METHODS, KL_METHODS, Z_METHODS = KINDS.values()
-
-
-def _engine(kind, method):
-    if kind not in METHODS:
-        raise ValueError("unknown kind %r" % kind)
-    if method not in METHODS[kind]:
-        raise ValueError("unknown %s method %r" % (kind, method))
-    return METHODS[kind][method][0]
 
 
 def applicable_methods(m, kind, braid_n=None):
@@ -984,15 +954,17 @@ def applicable_methods(m, kind, braid_n=None):
 
 
 def compute_invariant(m, kind, method, braid_n=None, lattice=None):
-    """Run one named method; raises ValueError when it does not apply.  A
-    lattice passed along with a matroid that has loops is that of its
-    loopless core.  KL and Z methods run through `kl_poly` and `z_poly`,
-    so those stay the one entry point of their kinds."""
-    if kind == "kl":
-        return kl_poly(m, method, lattice)
-    if kind == "z":
-        return z_poly(m, method, lattice)
-    return _engine(kind, method)(m, lattice, braid_n)
+    """Run one named method; this is the one place where a registry engine
+    runs.  Raises ValueError for an unknown kind or method, or when the
+    method does not apply.  A lattice passed along with a matroid that has
+    loops is that of its loopless core."""
+    if kind not in METHODS:
+        raise ValueError("unknown kind %r" % kind)
+    if method not in METHODS[kind]:
+        raise ValueError("unknown %s method %r" % (kind, method))
+    if kind == "kl" and not m.is_loopless():
+        return ZERO  # P vanishes with loops, before any engine runs
+    return METHODS[kind][method][0](m, lattice, braid_n)
 
 
 @dataclass
@@ -1043,7 +1015,11 @@ def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("time budget exhausted before method %r" % name)
         t0 = time.perf_counter()
-        results[name] = compute_invariant(m, kind, name, braid_n, lat)
+        # Z goes through its public entry point, so a wrapper around
+        # `z_poly` sees every Z polynomial a report computes
+        results[name] = (
+            z_poly(m, name, lat) if kind == "z" else compute_invariant(m, kind, name, braid_n, lat)
+        )
         seconds[name] = time.perf_counter() - t0
     values = list(results.values())
     agree = all(v == values[0] for v in values)

@@ -4,7 +4,10 @@ Subsets of the ground set [n] = {0, ..., n-1} are bit masks in a single
 machine word; the bases family is a sorted tuple of masks.  Construction
 from an explicit bases list validates the exchange axiom in full; matroids
 produced by the combinators (dual, minors, sums, relaxation of a stressed
-subset) skip re-validation where validity is inherited.
+subset) skip re-validation where validity is inherited.  One relabelling
+routine, `squeeze`, renumbers the masks of every kind of minor: the bases of
+a restriction or contraction here, and the flats of the flat-set minors of
+the deletion engines.
 """
 
 from __future__ import annotations
@@ -37,6 +40,30 @@ def set_of(mask):
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def squeeze(masks, keep):
+    """The masks, each inside `keep`, with the elements of `keep` renumbered
+    0, 1, ... in increasing order; order is preserved."""
+    runs = []  # (run of consecutive elements of keep, how far it moves down)
+    done = 0
+    while keep:
+        lo = (keep & -keep).bit_length() - 1
+        length = (~keep >> lo & (keep >> lo) + 1).bit_length() - 1
+        run = ((1 << length) - 1) << lo
+        runs.append((run, lo - done))
+        keep ^= run
+        done += length
+    if len(runs) == 1:
+        ((run, shift),) = runs
+        return [f >> shift for f in masks]
+    out = []
+    for f in masks:
+        g = 0
+        for run, shift in runs:
+            g |= (f & run) >> shift
+        out.append(g)
     return out
 
 
@@ -159,15 +186,9 @@ class Matroid:
         a = subset if isinstance(subset, int) else mask_of(subset)
         if a & ~self.full_mask:
             raise ValueError("restriction set is not inside the ground set")
-        elems = set_of(a)
-        pos = {e: i for i, e in enumerate(elems)}
         r = self.rank_of(a)
-        new_bases = set()
-        for b in self.bases:
-            inter = b & a
-            if inter.bit_count() == r:
-                new_bases.add(mask_of(pos[e] for e in set_of(inter)))
-        return Matroid(len(elems), new_bases, validate=False)
+        kept = [b & a for b in self.bases if (b & a).bit_count() == r]
+        return Matroid(a.bit_count(), squeeze(kept, a), validate=False)
 
     def delete(self, subset):
         a = subset if isinstance(subset, int) else mask_of(subset)
@@ -178,14 +199,9 @@ class Matroid:
         a = subset if isinstance(subset, int) else mask_of(subset)
         if a & ~self.full_mask:
             raise ValueError("contraction set is not inside the ground set")
-        keep = set_of(self.full_mask & ~a)
-        pos = {e: i for i, e in enumerate(keep)}
         r = self.rank_of(a)
-        new_bases = set()
-        for b in self.bases:
-            if (b & a).bit_count() == r:
-                new_bases.add(mask_of(pos[e] for e in set_of(b & ~a)))
-        return Matroid(len(keep), new_bases, validate=False)
+        kept = [b & ~a for b in self.bases if (b & a).bit_count() == r]
+        return Matroid(self.n - a.bit_count(), squeeze(kept, self.full_mask & ~a), validate=False)
 
     def simplify(self):
         """Delete loops and all but one representative of each parallel class."""
@@ -227,19 +243,10 @@ class Matroid:
 
     def _is_paving(self):
         # circuit-size definition, valid with loops: rank <= 1 is always
-        # paving, and loops rule out paving once the rank exceeds 1; a
-        # (rank-1)-set is independent iff one more element makes it a basis
-        k = self.rank
-        if k <= 1:
+        # paving, and loops rule out paving once the rank exceeds 1
+        if self.rank <= 1:
             return True
-        if not self.is_loopless():
-            return False
-        bases = self._bases_set
-        bits = [1 << e for e in range(self.n)]
-        return all(
-            any(a | bit in bases for bit in bits)
-            for a in _subsets_of_size(self.full_mask, k - 1)
-        )
+        return self.is_loopless() and all(self._basis_completions())
 
     def is_sparse_paving(self):
         if not self.is_loopless():
@@ -252,21 +259,22 @@ class Matroid:
         Each is the closure of an independent (rank-1)-set a.  The elements e
         with a + e a basis are exactly those outside cl(a), and there are
         some iff a is independent."""
-        k = self.rank
-        if k == 0:
+        if self.rank == 0:
             return []
         full = self.full_mask
+        return sorted({full & ~outside for outside in self._basis_completions() if outside})
+
+    def _basis_completions(self):
+        """For each (rank-1)-set a, the mask of the elements e with a + e a
+        basis; it is nonzero iff a is independent.  Needs rank at least 1."""
         bases = self._bases_set
         bits = [1 << e for e in range(self.n)]
-        seen = set()
-        for a in _subsets_of_size(full, k - 1):
+        for a in _subsets_of_size(self.full_mask, self.rank - 1):
             outside = 0
             for bit in bits:
                 if a | bit in bases:
                     outside |= bit
-            if outside:
-                seen.add(full & ~outside)
-        return sorted(seen)
+            yield outside
 
     def is_stressed(self, subset):
         """Whether M|_A and M/A are both uniform."""

@@ -14,7 +14,6 @@ symmetric a/b decomposition and gamma vectors.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import comb
 
@@ -161,8 +160,6 @@ class Poly:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(int(c) for c in data["coeffs"])
 
     def __repr__(self):

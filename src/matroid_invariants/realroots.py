@@ -30,10 +30,6 @@ class RatPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -42,15 +38,6 @@ class RatPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __call__(self, v):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def derivative(self):
-        return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def divmod(self, other):
         if not other:
@@ -88,8 +75,6 @@ class RatPoly:
 def _int_coeffs(p):
     if isinstance(p, Poly):
         return p.coeffs
-    if isinstance(p, RatPoly):
-        return p.primitive_int()
     return Poly(p).coeffs
 
 
@@ -302,21 +287,12 @@ def isolate_real_roots(p):
         if k == 1:
             out.append((lo, hi))
             continue
+        # lo is not a root and q has finitely many, so this ends
         mid = (lo + hi) / 2
-        if _eval_at(q, mid) == 0:
-            eps = (hi - lo) / 4
-            while (
-                _eval_at(q, mid - eps) == 0
-                or _eval_at(q, mid + eps) == 0
-                or count(mid - eps, mid + eps) != 1
-            ):
-                eps /= 2
-            out.append((mid - eps, mid + eps))
-            stack.append((lo, mid - eps, count(lo, mid - eps)))
-            stack.append((mid + eps, hi, count(mid + eps, hi)))
-        else:
-            stack.append((lo, mid, count(lo, mid)))
-            stack.append((mid, hi, count(mid, hi)))
+        while _eval_at(q, mid) == 0:
+            mid = (lo + mid) / 2
+        stack.append((lo, mid, count(lo, mid)))
+        stack.append((mid, hi, count(mid, hi)))
     out.sort()
     return out
 

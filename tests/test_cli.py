@@ -1,12 +1,13 @@
 import json
 import os
+import time
 
 import pytest
 
-from matroid_invariants import cli, poset
+from matroid_invariants import cli, invariants, poset
 from matroid_invariants.cli import main, parse_matroid_spec
 from matroid_invariants.matroid import Matroid, boolean, complete_graph, uniform, vamos
-from matroid_invariants.poly import binomial_eulerian
+from matroid_invariants.poly import ONE, Poly, binomial_eulerian
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 POSET_FILE = os.path.join(FIXTURES, "non_gamma_positive.poset.json")
@@ -142,6 +143,22 @@ def test_certify_koszul_and_unimodal(capsys):
     assert code == 0 and data["ok"] is True
 
 
+def test_certify_dominance_witness(capsys, monkeypatch):
+    # a bound of 1 that uH of vamos exceeds in degrees 1 to 3; H keeps its bound
+    monkeypatch.setattr(invariants, "chow_uniform", lambda k, n: ONE)
+    code, data = run_json(capsys, "certify", "vamos", "dominance")
+    assert code == 3 and data["ok"] is False
+    block = data["checks"]["dominance"]
+    assert block["ok"] is False
+    assert [(w["kind"], w["degree"]) for w in block["witnesses"]] == [("chow", 1), ("chow", 2), ("chow", 3)]
+    for w in block["witnesses"]:
+        assert set(w) == {"kind", "degree", "value", "bound"} and w["bound"] == "0"
+    code, out = run(capsys, "certify", "vamos", "dominance")
+    assert code == 3
+    assert "    witness: {'kind': 'chow', 'degree': 1, " in out
+    assert out.splitlines()[-1] == "overall: FAIL"
+
+
 def test_certify_poset_counterexample(capsys):
     code, data = run_json(capsys, "certify", "file:%s" % POSET_FILE, "gamma", "--poset")
     assert code == 3
@@ -228,12 +245,19 @@ def test_usage_errors_print_one_line(capsys):
         ["invariant", "file:%s" % os.path.join(FIXTURES, "missing.json"), "chow", "all"],
         ["certify", "uniform:3,5", "koszul-prefix:x"],
         ["whitney-inverse", "dual(uniform:3,3)"],
+        ["hrs", "--max-n", "0"],
+        ["hrs", "--max-n", "-2"],
+        ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--jobs", "0"],
+        ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--jobs", "-3"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    # a bad term count names its check token
+    main(["certify", "vamos", "koszul-prefix:x"])
+    assert "'koszul-prefix:x'" in capsys.readouterr().err
 
 
 def test_whitney_inverse_command(capsys):
@@ -289,20 +313,30 @@ def test_sweep_vamos_parameters_reproduce_vamos(capsys):
 
 
 def test_sweep_reports_failures(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "real_rooted", lambda q: False)
-    argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--lambda-max", "3", "--jobs", "1"]
-    code, data = run_json(capsys, *argv)
-    assert code == 3
-    assert data["count"] == 4 and data["failures"] == 4
-    assert data["first_failure"]["lambda"] == 0
-    details = data["first_failure"]["details"]
-    assert [d["poly"] for d in details] == ["chow", "augchow"]
-    for d in details:
-        assert d["check"] == "real-rooted" and d["coeffs"] and set(d) == {"check", "poly", "coeffs"}
-    code, out = run(capsys, *argv)
-    assert code == 3
-    assert "4 cases, 4 failures" in out
-    assert "first failure at lambda=0: " in out
+    # each check made to fail in turn, with the keys of its failure detail
+    for check, name, failing, keys in (
+        ("real-rooted", "real_rooted", lambda q: False, {"check", "poly", "coeffs"}),
+        ("gamma", "gamma_vector", lambda q, center: Poly([1, -1]), {"check", "poly", "gamma"}),
+        ("unimodal", "is_unimodal", lambda q: False, {"check", "poly"}),
+    ):
+        argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--lambda-max", "3",
+                "--jobs", "1", "--certify", check]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, failing)
+            code, data = run_json(capsys, *argv)
+            assert code == 3
+            assert data["count"] == 4 and data["failures"] == 4
+            assert data["first_failure"]["lambda"] == 0
+            details = data["first_failure"]["details"]
+            assert [d["poly"] for d in details] == ["chow", "augchow"]
+            for d in details:
+                assert d["check"] == check and set(d) == keys and all(d.values()), d
+            code, out = run(capsys, *argv)
+            assert code == 3
+            assert "4 cases, 4 failures" in out
+            assert "first failure at lambda=0: " in out
+        assert main(argv) == 0
+        capsys.readouterr()
 
 
 def test_sweep_invalid_range(capsys):
@@ -333,5 +367,15 @@ def test_sweep_rejects_empty_check_list(capsys):
 def test_sweep_timeout(capsys, jobs):
     argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--jobs", jobs, "--timeout-secs", "0.000001"]
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: timeout exceeded\n"
+
+
+def test_sweep_timeout_stops_the_workers(capsys):
+    # the 58787 cases take far longer than 5 s; a spent budget must not wait for them
+    argv = ["sweep", "sparse-paving", "--n", "22", "--k", "11", "--jobs", "2", "--timeout-secs", "0.5"]
+    t0 = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - t0 < 5
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: timeout exceeded\n"

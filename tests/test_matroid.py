@@ -79,12 +79,35 @@ def test_rank_closure_loops():
     assert m.closure(0b0011) == m.full_mask  # any 2 elements span
 
 
+def literal_minors(m, a):
+    """M|A and M/A by the definitions: the largest intersections of the
+    bases with A (or the bases meeting A in rk A elements, minus A), each
+    element renamed by its position among the kept elements."""
+    def relabel(keep, sets):
+        pos = {e: i for i, e in enumerate(keep)}
+        return Matroid(len(keep), [mask_of(pos[e] for e in set_of(b)) for b in sets], validate=False)
+
+    r = max((b & a).bit_count() for b in m.bases)
+    meet = [b for b in m.bases if (b & a).bit_count() == r]
+    return (relabel(set_of(a), [b & a for b in meet]),
+            relabel(set_of(m.full_mask & ~a), [b & ~a for b in meet]))
+
+
 def test_minor_duality_identity():
     rng = random.Random(7)
     for m in (uniform(3, 6), complete_graph(4), vamos()):
         for _ in range(12):
             s = mask_of(rng.sample(range(m.n), rng.randint(0, m.n // 2)))
             assert m.contract(s) == m.dual().delete(s).dual()
+    # restrict and contract against the literal relabelling, on subsets
+    # made of several runs of consecutive elements
+    runs = set()
+    for name, m in stress_matroids():
+        for _ in range(12):
+            a = mask_of(rng.sample(range(m.n), rng.randint(0, m.n)))
+            assert (m.restrict(a), m.contract(a)) == literal_minors(m, a), (name, a)
+            runs.add((a & ~(a << 1)).bit_count())
+    assert max(runs) >= 3
 
 
 def test_restrict_contract_shapes():

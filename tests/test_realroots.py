@@ -186,13 +186,20 @@ def test_cauchy_bound_contains_roots():
 
 def test_isolation():
     rng = random.Random(23)
+    cases = []
     for _ in range(30):
         roots = sorted(set(rng.randint(-8, 8) for _ in range(rng.randint(1, 5))))
-        p = poly_from_roots(roots)
+        cases.append((poly_from_roots(roots), roots))
+    # the first midpoint, 0, is a root of each of these
+    cases += [(poly_from_roots(roots), roots) for roots in ([-1, 0, 1], [-2, 0, 1, 5])]
+    cases.append((X * Poly([-4, 0, 1]) ** 2, [-2, 0, 2]))
+    for p, roots in cases:
         intervals = isolate_real_roots(p)
         assert len(intervals) == len(roots)
         for (lo, hi), r in zip(intervals, roots):
-            assert lo < r < hi
+            assert lo < r < hi and p(lo) != 0 and p(hi) != 0
+        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+            assert hi <= lo
 
 
 def test_interlaces_examples():
