@@ -449,7 +449,7 @@ def cmd_hrs(args):
     for n in range(1, args.max_n + 1):
         for k in range(1, n + 1):
             try:
-                rep = hrs_identity(k, n, check_direct=n <= args.direct_max_n)
+                rep = hrs_identity(k, n)
                 results.append({"k": k, "n": n, "ok": True, "direct": rep.direct_checked})
             except RuntimeError as exc:
                 ok = False
@@ -534,7 +534,6 @@ def build_parser():
 
     p = subs.add_parser("hrs", help="h-polynomial identity grid for uniform matroids")
     p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--direct-max-n", type=int, default=7)
     _add_common(p)
     p.set_defaults(func=cmd_hrs)
 

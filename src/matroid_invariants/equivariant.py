@@ -238,7 +238,7 @@ def eq_kl_uniform(k, n):
     shapes, so every multiplicity is 1."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    degrees = {0: VirtualRep.irreducible([n] if n else [])}
+    degrees = {0: VirtualRep.irreducible([n])}
     i = 1
     while 2 * i < k:
         degrees[i] = VirtualRep(n, {

@@ -21,8 +21,9 @@ one term per sequence; the literal enumeration over all prod s_i sequences
 is kept as the test oracle.
 
 The consecutive-integer specialization s = (n-k+2, ..., n) reproduces the
-augmented Chow polynomial of the uniform matroid U_{k,n}; by convention the
-empty vector (k = 1) gives x + 1 and k = 0 gives 1.
+augmented Chow polynomial of the uniform matroid U_{k,n}.  For k = 1 the
+vector is empty: the one sequence is the padding e_0 = e_1 = 0, a collision,
+so it gives x + 1.  Only k = 0 is a convention, giving 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .poly import ONE, X, ZERO, Poly, eulerian
+from .poly import ONE, ZERO, Poly, eulerian
 
 
 def hz_poly(s):
@@ -58,13 +59,12 @@ def hz_poly(s):
 @lru_cache(maxsize=None)
 def hz_uniform(k, n):
     """The polynomial of s = (n-k+2, ..., n); equals the augmented Chow
-    polynomial of U_{k,n}.  Conventions: k = 0 gives 1, k = 1 gives x + 1."""
+    polynomial of U_{k,n}.  k = 1 gives x + 1, the value of the empty vector;
+    k = 0 gives 1 by convention."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if k == 0:
         return ONE
-    if k == 1:
-        return ONE + X
     return hz_poly(range(n - k + 2, n + 1))
 
 
@@ -88,8 +88,6 @@ def search_s_vectors(target, length):
     product bound can match, and all of them are enumerated.
     """
     bound = target(1)
-    if bound <= 0:
-        return []
     hits = []
     stack = [((), 1)]
     while stack:

@@ -376,8 +376,6 @@ def _ss_aug(key, memo_h, memo_u):
     n = key[0]
     if n == 0:
         val = ONE
-    elif n == 1:
-        val = ONE + X
     else:
         i = _smallest_non_coloop(key)
         if i is None:
@@ -488,8 +486,6 @@ def aug_chow_uniform_coloop(k, n):
     """H of U_{k,n} plus a coloop:
     (1+x) H(U_{k,n}) + x sum_{j=0}^{k-1} C(n,j) uH(U_{k-j,n-j}) At_j(x)."""
     _check_uniform_args(k, n)
-    if k == 0:
-        return ONE + X
     acc = (ONE + X) * aug_chow_uniform(k, n)
     extra = ZERO
     for j in range(k):
@@ -614,8 +610,6 @@ def z_poly(m, method="conv_def", lattice=None):
 
 def tau(m, lattice=None):
     """Coefficient of x^((rk-1)/2) in P_M for odd rank; 0 for even rank."""
-    if not m.is_loopless():
-        return 0
     if m.rank % 2 == 0:
         return 0
     return kl_poly(m, "epw", lattice).coeff((m.rank - 1) // 2)
@@ -629,8 +623,6 @@ def kl_uniform(k, n):
     _check_uniform_args(k, n)
     if k == 0:
         return ONE if n == 0 else ZERO
-    if k == n:
-        return ONE
     acc = (X - ONE) * chibar_uniform(k, n)
     for r in range(1, k):
         acc = acc + comb(n, r) * (X - ONE) ** r * kl_uniform(k - r, n - r)
@@ -803,9 +795,9 @@ class HrsReport:
     direct_checked: bool
 
 
-def hrs_identity(k, n, check_direct=None):
+def hrs_identity(k, n):
     """Check that the Bergman-complex h-polynomial of U_{k,n} equals
-    sum_{i=1}^k C(n-i-1, k-i) uH(U_{i,n}); additionally, for small n,
+    sum_{i=1}^k C(n-i-1, k-i) uH(U_{i,n}); additionally, for n <= 7,
     recompute the left side by direct chain enumeration.
 
     A mismatch raises: it would falsify the implementation, not the input.
@@ -822,15 +814,14 @@ def hrs_identity(k, n, check_direct=None):
         rhs = rhs + c * chow_uniform(i, n)
     if h != rhs:
         raise RuntimeError("h-polynomial identity failed for (%d, %d)" % (k, n))
-    if check_direct is None:
-        check_direct = n <= 7
-    if check_direct:
+    direct = n <= 7
+    if direct:
         _, h_direct = bergman_f_h(uniform(k, n))
         if h_direct != h:
             raise RuntimeError(
                 "direct order-complex h-vector disagrees for (%d, %d)" % (k, n)
             )
-    return HrsReport(k, n, h, check_direct)
+    return HrsReport(k, n, h, direct)
 
 
 # -- cross-method reports --------------------------------------------------------------
@@ -998,17 +989,13 @@ def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
     `deadline` is an absolute time.monotonic() stamp; exceeding it between
     methods raises TimeoutError (cooperative budget, never mid-method).
     """
-    if kind not in KINDS:
-        raise ValueError("unknown kind %r" % kind)
     if method == "all":
         methods = applicable_methods(m, kind, braid_n)
+        # one lattice, of the loopless core, for every method; with loops uH and P are 0
+        if lattice is None and (m.is_loopless() or kind in ("augchow", "z")):
+            lattice = _lat(m)
     else:
-        if method not in KINDS[kind]:
-            raise ValueError("method %r is not a %s method" % (method, kind))
-        methods = [method]
-    # one lattice, of the loopless core, for every method; with loops uH and P are 0
-    build = lattice is None and (m.is_loopless() or kind in ("augchow", "z"))
-    lat = _lat(m) if build else lattice
+        methods = [method]  # compute_invariant checks it before building a lattice
     results = {}
     seconds = {}
     for name in methods:
@@ -1018,7 +1005,9 @@ def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
         # Z goes through its public entry point, so a wrapper around
         # `z_poly` sees every Z polynomial a report computes
         results[name] = (
-            z_poly(m, name, lat) if kind == "z" else compute_invariant(m, kind, name, braid_n, lat)
+            z_poly(m, name, lattice)
+            if kind == "z"
+            else compute_invariant(m, kind, name, braid_n, lattice)
         )
         seconds[name] = time.perf_counter() - t0
     values = list(results.values())

@@ -373,8 +373,6 @@ def complete_graph(m):
     edges = list(combinations(range(m), 2))
     if len(edges) > MAX_GROUND:
         raise ValueError("too many edges for the ground-set cap")
-    if m == 1:
-        return empty_matroid()
     bases = []
     for tree in combinations(range(len(edges)), m - 1):
         parent = list(range(m))
@@ -505,9 +503,6 @@ class BivariatePoly:
             return "*".join(parts)
         keys = sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
         return " + ".join(mono(i, j, self.terms[(i, j)]) for i, j in keys)
-
-    def to_json(self):
-        return {"terms": [[i, j, str(c)] for (i, j), c in sorted(self.terms.items())]}
 
 
 def tutte(m):

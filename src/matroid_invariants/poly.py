@@ -192,8 +192,6 @@ X = Poly((0, 1))
 
 def ones(k):
     """The truncated geometric series 1 + x + ... + x^(k-1); zero for k <= 0."""
-    if k <= 0:
-        return ZERO
     return Poly((1,) * k)
 
 
@@ -344,8 +342,6 @@ def palindromic_decompose(p):
 def gamma_vector(p, d=None):
     """Gamma vector of a symmetric polynomial with center d/2, i.e. the
     coefficients of p in the basis x^i (1+x)^(d-2i)."""
-    if p.is_zero():
-        return ZERO
     if d is None:
         d = p.degree
     if not is_palindromic(p, d):

@@ -19,59 +19,6 @@ from math import gcd
 from .poly import Poly
 
 
-class RatPoly:
-    """Dense polynomial with exact rational coefficients (ascending degree)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def divmod(self, other):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quo[i - dd] = c
-                for j, dj in enumerate(div):
-                    rem[i - dd + j] -= c * dj
-        return RatPoly(quo), RatPoly(rem)
-
-    def primitive_int(self):
-        """Positive rescaling onto primitive integer coefficients."""
-        if not self.coeffs:
-            return ()
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        return tuple(c // g for c in ints)
-
-    def __repr__(self):
-        return "RatPoly(%r)" % (self.coeffs,)
-
-
 def _int_coeffs(p):
     if isinstance(p, Poly):
         return p.coeffs
@@ -166,8 +113,6 @@ def squarefree_part(p):
     if len(cs) <= 1:
         return cs
     g = poly_gcd(cs, _derivative(cs))
-    if len(g) == 1:
-        return cs
     return _primitive(_exact_quotient(cs, g))
 
 
@@ -225,8 +170,6 @@ def count_distinct_real_roots(p, lo=None, hi=None):
     cs = _primitive(_int_coeffs(p))
     if not cs:
         raise ValueError("the zero polynomial has every number as a root")
-    if len(cs) == 1:
-        return 0
     chain = sturm_chain(cs)
     va = _variations_at_inf(chain, False) if lo is None else _variations_at(chain, lo)
     vb = _variations_at_inf(chain, True) if hi is None else _variations_at(chain, hi)
@@ -335,8 +278,6 @@ def interlaces(p, q):
         raise ValueError("interlacing requires real-rooted polynomials")
     if q.degree < p.degree or q.degree > p.degree + 1:
         return False
-    if p.degree == 0:
-        return True
 
     # the counts change only at roots of p * q; left of them both are 0
     count_p = _root_counter(p)

@@ -234,7 +234,7 @@ def test_criterion_07_hrs_grid():
     for n in range(1, 13):
         for k in range(1, n + 1):
             try:
-                hrs_identity(k, n, check_direct=n <= 7)
+                hrs_identity(k, n)
             except RuntimeError as exc:
                 bad.append((k, n, str(exc)))
     _report(7, not bad, "h-polynomial identity for 1<=k<=n<=12, direct complexes to n=7")

@@ -210,6 +210,7 @@ def test_flags_only_where_read(capsys):
     assert main(["certify", "vamos", "gamma", "--timeout-secs", "1"]) == 1
     assert main(["crosscheck", "uniform:2,3", "chow", "--jobs", "2"]) == 1
     assert main(["hrs", "--max-n", "2", "--timeout-secs", "1"]) == 1
+    assert main(["hrs", "--max-n", "2", "--direct-max-n", "3"]) == 1
     capsys.readouterr()
     assert main(["crosscheck", "uniform:2,3", "chow", "--timeout-secs", "60"]) == 0
     assert main(["invariant", "uniform:2,3", "chow", "chains", "--timeout-secs", "60"]) == 0

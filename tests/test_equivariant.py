@@ -87,6 +87,7 @@ def test_eq_kl_constant_term_and_dims():
             p = eq_kl_uniform(k, n)
             assert p.coeff(0) == VirtualRep.irreducible([n]), (k, n)
             assert p.dim_poly() == kl_uniform(k, n), (k, n)
+    assert eq_kl_uniform(1, 1) == GradedVirtualRep(1, {0: VirtualRep.irreducible([1])})
 
 
 def test_eq_kl_desk_scale_top_coefficient():

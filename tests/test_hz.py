@@ -110,6 +110,10 @@ def test_search_finds_positive_control():
     target = hz_poly([3, 4])
     assert (3, 4) in search_s_vectors(target, 2)
     assert search_s_vectors(Poly([5]), 1) == []
+    # every sequence adds at least 1 at x = 1, so target(1) <= 0 matches nothing
+    for target in (Poly(), Poly([-1]), Poly([1, -2]), Poly([0, 1, -1])):
+        for length in range(3):
+            assert search_s_vectors(target, length) == [], (target, length)
 
 
 def test_no_s_vector_matches_coloop_or_corank_one_targets():

@@ -294,6 +294,8 @@ def test_uniform_coloop_closed_forms():
     assert chow_uniform_coloop(2, 3) == Poly([1, 5, 1])
     assert aug_chow_uniform_coloop(3, 4) == Poly([1, 23, 55, 23, 1])
     assert chow_uniform_coloop(1, 1) == eulerian(2)
+    for n in range(6):
+        assert aug_chow_uniform_coloop(0, n) == ONE + X, n  # n loops and a coloop
     for k, n in [(1, 2), (2, 3), (3, 4), (2, 4), (3, 5)]:
         m = uniform(k, n).add_coloop()
         assert chow_uniform_coloop(k, n) == chow_chains(m), (k, n)
@@ -369,7 +371,8 @@ def test_kl_loops_convention():
 
 def test_kl_uniform_desk_scale():
     assert kl_uniform(15, 16) == Poly([1, 104, 2640, 23100, 76440, 91728, 32032, 1430])
-    assert kl_uniform(6, 6) == ONE
+    for n in range(25):
+        assert kl_uniform(n, n) == ONE, n  # the boolean matroid
     assert kl_uniform(2, 4) == kl_poly(uniform(2, 4), "epw")
 
 
@@ -401,6 +404,7 @@ def test_tau():
     assert tau(uniform(1, 2)) == 1
     assert tau(uniform(3, 6)) == kl_poly(uniform(3, 6)).coeff(1)
     assert tau(boolean(5)) == 0
+    assert tau(uniform(3, 5).direct_sum(uniform(0, 1))) == 0  # P = 0 with loops
 
 
 def test_kl_degree_bound(small_corpus, store):
@@ -659,7 +663,9 @@ def test_non_applicable_methods_raise():
         compute_invariant(uniform(2, 3).direct_sum(uniform(2, 3)), "chow", "paving")
 
 
-def test_invariant_report_builds_one_lattice_with_loops(monkeypatch):
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """The matroid of every `FlatsLattice` built while the test runs."""
     builds = []
     init = poset.FlatsLattice.__init__
 
@@ -668,13 +674,30 @@ def test_invariant_report_builds_one_lattice_with_loops(monkeypatch):
         init(self, matroid)
 
     monkeypatch.setattr(poset.FlatsLattice, "__init__", counting_init)
+    return builds
+
+
+def test_invariant_report_builds_one_lattice_with_loops(lattice_builds):
     m = uniform(3, 9).direct_sum(uniform(0, 1))
     r = invariant_report(m, "augchow")
     assert r.agree and len(r.results) == 6
-    assert builds == [uniform(3, 9)]
-    builds.clear()
+    assert lattice_builds == [uniform(3, 9)]
+    lattice_builds.clear()
     assert invariant_report(m, "chow").results["char_conv"] == ZERO
-    assert builds == []  # uH vanishes with loops: no lattice needed
+    assert lattice_builds == []  # uH vanishes with loops: no lattice needed
+
+
+def test_unknown_kind_or_method_one_message(lattice_builds):
+    # the report and the dispatcher share one check, run before any lattice
+    m = uniform(2, 4)
+    for kind, method in (("nope", "all"), ("nope", "chains"), ("chow", "foo"), ("z", "epw")):
+        messages = []
+        for entry in (invariant_report, compute_invariant):
+            with pytest.raises(ValueError) as err:
+                entry(m, kind, method)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], (kind, method, messages)
+    assert lattice_builds == []
 
 
 def test_degree_and_symmetry_contracts(small_corpus, store):

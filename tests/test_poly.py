@@ -94,7 +94,7 @@ def test_basic_arithmetic():
     assert (ONE + X) ** 2 == Poly([1, 2, 1])
     assert Poly([2, 1]).shift(2) == Poly([0, 0, 2, 1])
     assert Poly([1, 4, 1])(10) == 141
-    assert ones(3) == Poly([1, 1, 1]) and ones(0) == ZERO
+    assert ones(3) == Poly([1, 1, 1]) and ones(0) == ZERO and ones(-2) == ZERO
     assert Poly([7]).degree == 0 and ZERO.degree == -1
 
 
@@ -245,6 +245,8 @@ def test_gamma_vector_values():
     assert gamma_vector(Poly([1, 7, 11, 7, 1]), 4) == Poly([1, 3, -1])
     # derived by solving g0 (1+x)^2 + g1 x = 1 + 3x + x^2
     assert gamma_vector(Poly([1, 3, 1]), 2) == Poly([1, 1])
+    for d in (None, 0, 4):
+        assert gamma_vector(ZERO, d) == ZERO, d
 
 
 def test_gamma_vector_requires_symmetry():

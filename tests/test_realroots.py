@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from matroid_invariants.invariants import aug_chow_paving, chow_braid, chow_paving
 from matroid_invariants.poly import ONE, Poly, X, eulerian
 from matroid_invariants.realroots import (
-    RatPoly,
     _derivative,
     _primitive,
     _variations_at_inf,
@@ -29,6 +29,59 @@ def poly_from_roots(roots):
 
 
 # -- Fraction-Euclid references: the chain, gcd and squarefree part over Q ------
+
+
+class RatPoly:
+    """Dense polynomial with exact rational coefficients (ascending degree)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def divmod(self, other):
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        div = other.coeffs
+        dd = len(div) - 1
+        lead = div[-1]
+        quo = [Fraction(0)] * max(len(rem) - dd, 0)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i] / lead
+            if c:
+                quo[i - dd] = c
+                for j, dj in enumerate(div):
+                    rem[i - dd + j] -= c * dj
+        return RatPoly(quo), RatPoly(rem)
+
+    def primitive_int(self):
+        """Positive rescaling onto primitive integer coefficients."""
+        if not self.coeffs:
+            return ()
+        denom = 1
+        for c in self.coeffs:
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        ints = [int(c * denom) for c in self.coeffs]
+        g = 0
+        for c in ints:
+            g = gcd(g, c)
+        return tuple(c // g for c in ints)
+
+    def __repr__(self):
+        return "RatPoly(%r)" % (self.coeffs,)
 
 
 def ref_sturm_chain(coeffs):
@@ -169,6 +222,9 @@ def test_count_on_intervals():
     assert count_distinct_real_roots(p, Fraction(-4), Fraction(3)) == 3
     assert count_distinct_real_roots(p, Fraction(-2), Fraction(3)) == 2
     assert count_distinct_real_roots(p, Fraction(0), Fraction(3)) == 1
+    # a nonzero constant has no roots, on the whole line or an interval
+    assert count_distinct_real_roots(Poly([-5])) == 0
+    assert count_distinct_real_roots(Poly([-5]), Fraction(-4), Fraction(3)) == 0
 
 
 def test_squarefree_part():
@@ -206,6 +262,10 @@ def test_interlaces_examples():
     assert interlaces(Poly([1, 1]), Poly([1, 1]) * Poly([2, 1]))
     assert not interlaces(Poly([1, 1]) * Poly([3, 1]), Poly([2, 1]))
     assert interlaces(Poly([1, 7, 1]), Poly([1, 11, 11, 1]))
+    # a constant has no roots: it interlaces any q of degree 0 or 1
+    assert interlaces(Poly([3]), Poly([2, 1]))
+    assert interlaces(Poly([3]), Poly([-2]))
+    assert not interlaces(Poly([3]), Poly([2, 1]) ** 2)
 
 
 def test_interlaces_shared_roots_weak():
