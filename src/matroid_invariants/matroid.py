@@ -1,10 +1,16 @@
 """Matroids on ground sets of at most 24 elements.
 
 Subsets of the ground set [n] = {0, ..., n-1} are bit masks in a single
-machine word; the bases family is a sorted tuple of masks.  Construction
-from an explicit bases list validates the exchange axiom in full; matroids
-produced by the combinators (dual, minors, sums, relaxation of a stressed
-subset) skip re-validation where validity is inherited.  One relabelling
+machine word; the bases family is a sorted tuple of masks.  Rank, closure
+and the exchange check run on basis-incidence columns, built once per
+matroid when first needed: `cols[e]` is an int whose bit i is set when
+basis i contains e.  Growing a basis I of A greedily narrows the set S of
+bases containing I by one AND per element of A; then rk(A) = |I|, and
+f lies outside cl(A) exactly when its column meets S, so no query scans the
+bases.  Construction from an explicit bases list validates the exchange
+axiom in full; matroids produced by the combinators (dual, minors, sums,
+relaxation of a stressed subset) skip re-validation where validity is
+inherited.  One relabelling
 routine, `squeeze`, renumbers the masks of every kind of minor: the bases of
 a restriction or contraction here, and the flats of the flat-set minors of
 the deletion engines.
@@ -74,7 +80,7 @@ def _subsets_of_size(mask, k):
 class Matroid:
     """Matroid given by its ground-set size and bases (as bit masks)."""
 
-    __slots__ = ("n", "bases", "rank", "_bases_set")
+    __slots__ = ("n", "bases", "rank", "_bases_set", "_cols")
 
     def __init__(self, n, bases, validate=True):
         if n < 0 or n > MAX_GROUND:
@@ -92,35 +98,40 @@ class Matroid:
         self.bases = bases
         self.rank = rank
         self._bases_set = frozenset(bases)
+        self._cols = None
         if validate:
             self._check_exchange()
 
     def _check_exchange(self):
+        """The exchange axiom, one basis B1 and one x in B1 at a time.
+
+        With Y the elements y outside B1 for which B1 - x + y is a basis,
+        every basis B2 avoiding x must meet Y; so the axiom fails at (B1, x)
+        exactly when some basis avoids Y + x, a nonzero AND of columns."""
         bases = self.bases
         inset = self._bases_set
+        cols = self._columns()
+        every = (1 << len(bases)) - 1
+        bits = [1 << e for e in range(self.n)]
         for b1 in bases:
-            for b2 in bases:
-                if b1 == b2:
-                    continue
-                only1 = b1 & ~b2
-                only2 = b2 & ~b1
-                a = only1
-                while a:
-                    bit = a & -a
-                    a ^= bit
-                    swap_base = b1 ^ bit
-                    c = only2
-                    while c:
-                        cbit = c & -c
-                        c ^= cbit
-                        if (swap_base | cbit) in inset:
-                            break
-                    else:
-                        raise MatroidError(
-                            "exchange",
-                            "exchange fails for bases %s, %s at element %d"
-                            % (set_of(b1), set_of(b2), bit.bit_length() - 1),
-                        )
+            outside = [(bit, col) for bit, col in zip(bits, cols) if not b1 & bit]
+            a = b1
+            while a:
+                x = a & -a
+                a ^= x
+                meets = cols[x.bit_length() - 1]
+                swap_base = b1 ^ x
+                for bit, col in outside:
+                    if swap_base | bit in inset:
+                        meets |= col
+                avoiding = every & ~meets
+                if avoiding:
+                    b2 = bases[(avoiding & -avoiding).bit_length() - 1]
+                    raise MatroidError(
+                        "exchange",
+                        "exchange fails for bases %s, %s at element %d"
+                        % (set_of(b1), set_of(b2), x.bit_length() - 1),
+                    )
 
     @classmethod
     def from_bases(cls, n, bases):
@@ -133,32 +144,60 @@ class Matroid:
     def full_mask(self):
         return (1 << self.n) - 1
 
-    def rank_of(self, subset):
-        """rk(A) = max over bases of |A & B|."""
-        a = subset if isinstance(subset, int) else mask_of(subset)
-        return max((a & b).bit_count() for b in self.bases)
+    def _columns(self):
+        """Basis-incidence columns, built once: bit i of `cols[e]` is set
+        when basis i contains e.  Each basis is a 3-byte (MAX_GROUND-bit)
+        little-endian word and basis i the i-th word from the end, so byte
+        e // 8 of every basis is one strided slice, and mapping each byte
+        to b"0" or b"1" by its bit e % 8 spells `cols[e]` in binary."""
+        cols = self._cols
+        if cols is None:
+            words = b"".join(b.to_bytes(3, "little") for b in reversed(self.bases))
+            cols = self._cols = []
+            for e in range(self.n):
+                run = 1 << (e & 7)
+                digits = (b"0" * run + b"1" * run) * (128 // run)  # byte x -> bit e % 8 of x
+                cols.append(int(words[e >> 3::3].translate(digits), 2))
+        return cols
 
-    def closure(self, subset, bases=None):
+    def _spanning(self, a):
+        """(rk A, mask over basis ids of the bases containing a basis I of
+        A), with I grown greedily: e joins I when some basis holds I + e."""
+        cols = self._columns()
+        s = (1 << len(self.bases)) - 1
+        r = 0
+        while a:
+            low = a & -a
+            a ^= low
+            t = s & cols[low.bit_length() - 1]
+            if t:
+                s = t
+                r += 1
+        return r, s
+
+    def rank_of(self, subset):
+        """rk(A), the size of a greedy basis of A, in |A| ANDs of columns."""
+        a = subset if isinstance(subset, int) else mask_of(subset)
+        return self._spanning(a)[0]
+
+    def closure(self, subset):
         """Smallest flat containing the subset, as a mask.
 
-        An element f lies outside the closure iff some basis meeting A in
-        rk(A) elements contains f; so cl(A) is the complement of the union
-        of the rank-attaining bases (together with A itself).
-
-        `bases` narrows the scan to a subfamily of the bases; it must hold
-        every basis meeting A in rk(A) elements.  For a flat F of rank r
-        and e outside F, the bases meeting F in r elements are such a
-        family for F + e, which is how the lattice of flats is built.
+        With I a basis of A and S the bases containing I, an element f lies
+        outside cl(A) exactly when I + f is independent, that is, when some
+        basis in S contains f.  So cl(A) is A together with every f whose
+        column misses S: n ANDs of columns, no scan of the bases.
         """
         a = subset if isinstance(subset, int) else mask_of(subset)
-        if bases is None:
-            bases = self.bases
-        best = max((a & b).bit_count() for b in bases)
-        outside = 0
-        for b in bases:
-            if (a & b).bit_count() == best:
-                outside |= b
-        return a | (self.full_mask & ~outside)
+        s = self._spanning(a)[1]
+        cols = self._columns()
+        rest = self.full_mask & ~a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not cols[low.bit_length() - 1] & s:
+                a |= low
+        return a
 
     def loops(self):
         union = 0

@@ -105,30 +105,28 @@ class FlatsLattice(GradedPoset):
     Flats get ids by rank, then by mask.  The build is a breadth-first
     search by rank that uses the fact that the flats covering a flat F
     partition E - F (Oxley, Matroid Theory, section 1.7).  For each flat F
-    of rank r it scans the bases once and keeps those meeting F in r
-    elements; they hold every basis that attains rank r + 1 on F + e, so
-    each closure scans only them.  Each closure strips its whole cover
+    it takes `matroid.closure(F + e)` for an element e still to try; the
+    closure is the cover of F through e, and it strips that whole cover
     from the elements still to try, so there is one `closure` call per
-    covering pair, and ranks come from the search level.  The ranks and
-    the covering pairs of ids then make the `GradedPoset`.
+    covering pair, and ranks come from the search level.  Each closure is
+    a few ANDs of the matroid's basis-incidence columns, so no basis is
+    scanned per flat.  The ranks and the covering pairs of ids then make
+    the `GradedPoset`.
     """
 
     def __init__(self, matroid):
         if not matroid.is_loopless():
             raise ValueError("the lattice of flats requires a loopless matroid")
-        k = matroid.rank
         full = matroid.full_mask
-        bases = matroid.bases
         levels = [[0]]
         covers = {}  # flat -> the flats covering it
-        for r in range(k):
+        for r in range(matroid.rank):
             nxt = set()
             for f in levels[r]:
-                spanning = [b for b in bases if (b & f).bit_count() == r]
                 covers[f] = ups = []
                 rest = full & ~f
                 while rest:
-                    g = matroid.closure(f | (rest & -rest), spanning)
+                    g = matroid.closure(f | (rest & -rest))
                     rest &= ~g
                     ups.append(g)
                 nxt.update(ups)

@@ -8,7 +8,8 @@ leading coefficient, and reduced to its primitive part.  Positive scaling
 keeps the sign structure, and a primitive part is the same whatever
 positive multiple it came from, so every chain entry is the primitive part
 of the remainder over Q.  Rationals appear only as evaluation points (root
-isolation and interlacing).
+isolation and interlacing), and the sign of a polynomial at a / b is read
+off an integer sum, with no `Fraction` arithmetic per coefficient.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ def _int_coeffs(p):
     return Poly(p).coeffs
 
 
-def _eval_at(coeffs, v):
-    acc = Fraction(0)
+def _sign_at(coeffs, x):
+    """Sign of the polynomial at a rational x = a / b with b > 0: that of
+    b^d p(a / b) = sum c_i a^i b^(d - i), a Horner loop in integers."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    scale = 1
     for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
+        acc = acc * a + c * scale
+        scale *= b
+    return _sign(acc)
 
 
 def _derivative(coeffs):
@@ -149,7 +155,7 @@ def _variations(signs):
 
 
 def _variations_at(chain, x):
-    return _variations([_sign(_eval_at(c, x)) for c in chain])
+    return _variations([_sign_at(c, x) for c in chain])
 
 
 def _variations_at_inf(chain, positive):
@@ -165,14 +171,15 @@ def _variations_at_inf(chain, positive):
 def count_distinct_real_roots(p, lo=None, hi=None):
     """Number of distinct real roots of p, in (lo, hi] if bounds are given.
 
-    Interval endpoints must not themselves be roots.
+    Interval endpoints must not themselves be roots; they are read exactly
+    as `Fraction`s.
     """
     cs = _primitive(_int_coeffs(p))
     if not cs:
         raise ValueError("the zero polynomial has every number as a root")
     chain = sturm_chain(cs)
-    va = _variations_at_inf(chain, False) if lo is None else _variations_at(chain, lo)
-    vb = _variations_at_inf(chain, True) if hi is None else _variations_at(chain, hi)
+    va = _variations_at_inf(chain, False) if lo is None else _variations_at(chain, Fraction(lo))
+    vb = _variations_at_inf(chain, True) if hi is None else _variations_at(chain, Fraction(hi))
     return va - vb
 
 
@@ -232,7 +239,7 @@ def isolate_real_roots(p):
             continue
         # lo is not a root and q has finitely many, so this ends
         mid = (lo + hi) / 2
-        while _eval_at(q, mid) == 0:
+        while not _sign_at(q, mid):
             mid = (lo + mid) / 2
         stack.append((lo, mid, count(lo, mid)))
         stack.append((mid, hi, count(mid, hi)))

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,7 +21,7 @@ from matroid_invariants.matroid import (
     uniform,
     vamos,
 )
-from test_poset import stress_matroids
+from test_poset import random_graphic, random_sparse_paving, stress_matroids
 
 EXPECTED_TUTTE = BivariatePoly(
     {
@@ -47,6 +49,68 @@ def test_from_bases_validation_errors():
     with pytest.raises(MatroidError) as err:
         Matroid.from_bases(4, [{0, 1}, {2, 3}])
     assert err.value.reason == "exchange"
+
+
+def pairwise_exchange_failure(bases):
+    """Oracle: the exchange axiom over every ordered pair of bases.  Returns
+    the first (B1, B2, x) with x in B1 - B2 and no y in B2 - B1 making
+    B1 - x + y a basis, or None if the axiom holds."""
+    inset = set(bases)
+    for b1 in bases:
+        for b2 in bases:
+            for x in set_of(b1 & ~b2):
+                if not any((b1 ^ 1 << x) | 1 << y in inset for y in set_of(b2 & ~b1)):
+                    return b1, b2, x
+    return None
+
+
+def random_families(rng, count):
+    """Seeded bases families: a third are random sets of k-subsets, which
+    are mostly not matroids; the rest are the bases of seeded sparse paving
+    and graphic matroids, half of them losing one basis or gaining one
+    non-basis of the same size, which may break the exchange axiom."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        k = rng.randint(2, n - 2)
+        if rng.random() < 1 / 3:
+            ksets = [mask_of(c) for c in combinations(range(n), k)]
+            out.append((n, sorted(rng.sample(ksets, rng.randint(1, len(ksets))))))
+            continue
+        if rng.random() < 0.5:
+            m = random_sparse_paving(rng, n, k, rng.randint(0, 4))
+        else:
+            v = rng.randint(4, 5)
+            m = random_graphic(rng, v, rng.randint(v, min(v * (v - 1) // 2, 8)))
+        family = set(m.bases)
+        if rng.random() < 0.5:
+            flip = mask_of(rng.sample(range(m.n), m.rank))
+            if flip in family and len(family) > 1:
+                family.discard(flip)
+            else:
+                family.add(flip)
+        out.append((m.n, sorted(family)))
+    return out
+
+
+def test_exchange_check_matches_pairwise_oracle():
+    broken = 0
+    for n, bases in random_families(random.Random(20261018), 300):
+        failure = pairwise_exchange_failure(bases)
+        if failure is None:
+            Matroid(n, bases)
+            continue
+        broken += 1
+        with pytest.raises(MatroidError) as err:
+            Matroid(n, bases)
+        assert err.value.reason == "exchange"
+        # the named pair and element really break the axiom
+        named = re.fullmatch(r"exchange fails for bases (\[.*\]), (\[.*\]) at element (\d+)", str(err.value))
+        b1, b2 = mask_of(json.loads(named[1])), mask_of(json.loads(named[2]))
+        x = int(named[3])
+        assert b1 in bases and b2 in bases and b1 >> x & 1 and not b2 >> x & 1, (bases, str(err.value))
+        assert not any((b1 ^ 1 << x) | 1 << y in bases for y in set_of(b2 & ~b1)), (bases, str(err.value))
+    assert 50 <= broken <= 250, broken
 
 
 def test_from_bases_examples():

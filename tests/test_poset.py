@@ -82,10 +82,28 @@ def brute_chow_on_poset(ranks, leq_pairs, top):
     return uh
 
 
+def scan_rank(m, a):
+    """Textbook rank, kept as an oracle: the largest intersection of A with
+    a basis."""
+    return max((a & b).bit_count() for b in m.bases)
+
+
+def scan_closure(m, a):
+    """Textbook closure, kept as an oracle: an element lies outside cl(A)
+    iff some basis meeting A in rk(A) elements contains it."""
+    r = scan_rank(m, a)
+    outside = 0
+    for b in m.bases:
+        if (a & b).bit_count() == r:
+            outside |= b
+    return a | (m.full_mask & ~outside)
+
+
 def reference_lattice(m):
-    """Literal build, kept as an oracle: one closure per element outside
-    each flat, ranks from `rank_of`, and `above` by a subset test over all
-    flats.  Returns (flats, ranks, by_rank, above) in `FlatsLattice` form."""
+    """Literal build, kept as an oracle: one basis-scan closure per element
+    outside each flat, ranks from the basis scan, and `above` by a subset
+    test over all flats.  Returns (flats, ranks, by_rank, above) in
+    `FlatsLattice` form."""
     by_rank = [[0]]
     seen = {0}
     for r in range(m.rank):
@@ -93,14 +111,14 @@ def reference_lattice(m):
         for f in by_rank[r]:
             for e in range(m.n):
                 if not f >> e & 1:
-                    g = m.closure(f | 1 << e)
+                    g = scan_closure(m, f | 1 << e)
                     if g not in seen:
                         seen.add(g)
                         nxt.add(g)
         by_rank.append(sorted(nxt))
     flats = [f for flats_r in by_rank for f in flats_r]
     index = {f: i for i, f in enumerate(flats)}
-    ranks = [m.rank_of(f) for f in flats]
+    ranks = [scan_rank(m, f) for f in flats]
     by_rank_ids = [[index[f] for f in flats_r] for flats_r in by_rank]
     above = [
         [j for j in range(len(flats)) if j != i and flats[j] & f == f]
@@ -202,23 +220,39 @@ def test_lattice_is_the_graded_poset_of_its_covers(small_corpus):
                 assert lat.leq(i, j) == (f & g == f), (name, i, j)
 
 
-def test_narrowed_closure_matches_full_closure():
-    rng = random.Random(7)
-    for name, m in stress_matroids() + [("vamos", vamos()), ("uniform:3,6", uniform(3, 6))]:
-        for _ in range(40):
-            a = rng.getrandbits(m.n)
-            r = m.rank_of(a)
-            attaining = [b for b in m.bases if (a & b).bit_count() == r]
-            others = [b for b in m.bases if (a & b).bit_count() != r]
-            family = attaining + rng.sample(others, len(others) // 2)
-            rng.shuffle(family)
-            assert m.closure(a, family) == m.closure(a), (name, a)
-        # the family the lattice build uses: bases spanning a flat F, for F + e
-        for f in lattice_of_flats(m).flats:
-            r = m.rank_of(f)
-            spanning = [b for b in m.bases if (b & f).bit_count() == r]
-            for e in range(m.n):
-                assert m.closure(f | 1 << e, spanning) == m.closure(f | 1 << e), (name, f, e)
+def lattice_large_shapes():
+    """Matroids of the two shapes the benchmark's lattice-large workload
+    uses: sparse paving with n = 11, k = 5 and 20 circuit-hyperplanes, and
+    the cycle matroid of a graph with 7 vertices and 12 edges."""
+    rng = random.Random(1112)
+    chosen = []
+    while len(chosen) < 20:
+        c = mask_of(rng.sample(range(11), 5))
+        if all((c & d).bit_count() <= 3 for d in chosen):
+            chosen.append(c)
+    bases = [mask_of(s) for s in combinations(range(11), 5) if mask_of(s) not in chosen]
+    return Matroid(11, bases, validate=False), random_graphic(rng, 7, 12)
+
+
+def test_closure_and_rank_match_the_basis_scan(corpus):
+    cases = [(name, m) for name, m, _ in corpus if m.n <= 10]
+    cases += [
+        ("loops+uniform:2,4", uniform(2, 4).direct_sum(uniform(0, 2))),
+        ("loop+parallel", Matroid.from_bases(3, [{0}, {2}])),
+        ("rank-0", uniform(0, 3)),
+        ("n=0", empty_matroid()),
+    ]
+    assert {m.n for _, m in cases} >= {0, 10} and any(m.rank == 0 < m.n for _, m in cases)
+    for name, m in cases:
+        for a in range(1 << m.n):
+            assert m.rank_of(a) == scan_rank(m, a), (name, a)
+            assert m.closure(a) == scan_closure(m, a), (name, a)
+    rng = random.Random(3000)
+    for m in lattice_large_shapes():
+        for _ in range(1500):
+            a = rng.getrandbits(m.n) & rng.getrandbits(m.n)  # mostly below full rank
+            assert m.rank_of(a) == scan_rank(m, a), (m, a)
+            assert m.closure(a) == scan_closure(m, a), (m, a)
 
 
 def test_lattice_requires_loopless():

@@ -258,6 +258,51 @@ def test_isolation():
             assert hi <= lo
 
 
+def fraction_isolation(p):
+    """The bisection of `isolate_real_roots`, with every sign taken from a
+    `Fraction` Horner evaluation: the reference for the integer signs."""
+    def sign_at(coeffs, x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return (acc > 0) - (acc < 0)
+
+    def variations(chain, x):
+        signs = [s for s in (sign_at(c, x) for c in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    q = squarefree_part(p)
+    if len(q) <= 1:
+        return []
+    chain = sturm_chain(q)
+    bound = cauchy_bound(q)
+    out = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        k = variations(chain, lo) - variations(chain, hi)
+        if k == 1:
+            out.append((lo, hi))
+        elif k > 1:
+            mid = (lo + hi) / 2
+            while sign_at(q, mid) == 0:
+                mid = (lo + mid) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(out)
+
+
+def test_isolation_equals_fraction_reference():
+    rng = random.Random(67)
+    polys = [p for p in integer_corpus()[::3] if p.degree >= 1]  # every family, a third of each
+    polys += [rational_root_poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))],
+                                 rng.choice((1, -1))) for _ in range(100)]
+    polys += [poly_from_roots(roots) for roots in ([-1, 0, 1], [-2, 0, 1, 5])]  # the first midpoint is a root
+    for p in polys:
+        intervals = isolate_real_roots(p)
+        assert intervals == fraction_isolation(p), p
+        assert all(type(lo) is Fraction and type(hi) is Fraction for lo, hi in intervals)
+
+
 def test_interlaces_examples():
     assert interlaces(Poly([1, 1]), Poly([1, 1]) * Poly([2, 1]))
     assert not interlaces(Poly([1, 1]) * Poly([3, 1]), Poly([2, 1]))
