@@ -32,17 +32,19 @@ def _as_partition(parts):
 
 @lru_cache(maxsize=None)
 def specht_dim(parts):
-    """Dimension of the irreducible indexed by a partition (hook lengths)."""
+    """Dimension of the irreducible indexed by a partition of m into k parts,
+    by the Frobenius formula m! prod_{i<j} (l_i - l_j) / prod_i l_i! with
+    l_i = lam_i + k - i; it equals the hook length formula and needs no
+    conjugate partition."""
     lam = _as_partition(parts)
-    if not lam:
-        return 1
-    m = sum(lam)
-    conj = [sum(1 for v in lam if v > j) for j in range(lam[0])]
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    return factorial(m) // hooks
+    k = len(lam)
+    ls = [v + k - i for i, v in enumerate(lam, 1)]
+    num, den = factorial(sum(lam)), 1
+    for i, a in enumerate(ls):
+        den *= factorial(a)
+        for b in ls[i + 1:]:
+            num *= a - b
+    return num // den
 
 
 class VirtualRep:
@@ -194,15 +196,16 @@ class GradedVirtualRep:
         self.degrees = data
 
     def coeff(self, d):
-        return self.degrees.get(d, VirtualRep(self.size))
+        rep = self.degrees.get(d)
+        return VirtualRep(self.size) if rep is None else rep
 
     @property
     def degree(self):
         return max(self.degrees, default=0)
 
     def dim_poly(self):
-        top = self.degree
-        return Poly([self.coeff(d).dim() for d in range(top + 1)])
+        reps = self.degrees
+        return Poly([reps[d].dim() if d in reps else 0 for d in range(self.degree + 1)])
 
     def is_palindromic(self, d=None):
         if d is None:

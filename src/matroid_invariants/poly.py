@@ -341,22 +341,33 @@ def palindromic_decompose(p):
 
 def gamma_vector(p, d=None):
     """Gamma vector of a symmetric polynomial with center d/2, i.e. the
-    coefficients of p in the basis x^i (1+x)^(d-2i)."""
+    coefficients of p in the basis x^i (1+x)^(d-2i); d defaults to deg p.
+
+    Raises NotPalindromic unless x^d p(1/x) == p, in particular when
+    d < deg p.  The zero polynomial is symmetric about every center.
+    """
+    cs = p.coeffs
+    if not cs:
+        return ZERO
     if d is None:
-        d = p.degree
-    if not is_palindromic(p, d):
+        d = len(cs) - 1
+    work = list(cs) + [0] * (d + 1 - len(cs))
+    if len(cs) > d + 1 or work != work[::-1]:
         raise NotPalindromic("polynomial is not symmetric with center %s/2" % d)
-    work = [p.coeff(i) for i in range(d + 1)]
+    # Subtracting gamma_i x^i (1+x)^(d-2i) keeps the rest symmetric about
+    # d/2, so only the lower half is updated: once it is peeled to zero,
+    # so is the upper half.
+    half = d // 2
     gamma = []
-    for i in range(d // 2 + 1):
+    for i in range(half + 1):
         g = work[i]
         gamma.append(g)
         if g:
             e = d - 2 * i
-            for j in range(e + 1):
-                work[i + j] -= g * comb(e, j)
-    if any(work):
-        raise NotPalindromic("gamma peeling left a nonzero residue")
+            c = g  # g * C(e, j), one row entry after another
+            for j in range(half - i + 1):
+                work[i + j] -= c
+                c = c * (e - j) // (j + 1)
     return Poly(gamma)
 
 

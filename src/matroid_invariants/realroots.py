@@ -10,6 +10,13 @@ positive multiple it came from, so every chain entry is the primitive part
 of the remainder over Q.  Rationals appear only as evaluation points (root
 isolation and interlacing), and the sign of a polynomial at a / b is read
 off an integer sum, with no `Fraction` arithmetic per coefficient.
+
+A palindromic polynomial with a nonnegative gamma vector is decided on its
+gamma polynomial, of half the degree (Gal 2005; Branden 2004): if
+p = sum gamma_i x^i (1+x)^(d-2i) with every gamma_i >= 0, then p is
+real-rooted iff Gamma(t) = sum gamma_i t^i is.  `real_rooted` gives the
+proof.  The Chow, augmented Chow and Z-polynomials of a matroid are
+gamma-positive, so their certificates are all decided this way.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .poly import Poly
+from .poly import Poly, gamma_vector
 
 
 def _int_coeffs(p):
@@ -171,10 +178,10 @@ def _variations_at_inf(chain, positive):
 def count_distinct_real_roots(p, lo=None, hi=None):
     """Number of distinct real roots of p, in (lo, hi] if bounds are given.
 
-    Interval endpoints must not themselves be roots; they are read exactly
-    as `Fraction`s.
+    The chain is that of the squarefree part, so an endpoint may be a root,
+    of any multiplicity.  Bounds are read exactly as `Fraction`s.
     """
-    cs = _primitive(_int_coeffs(p))
+    cs = squarefree_part(p)
     if not cs:
         raise ValueError("the zero polynomial has every number as a root")
     chain = sturm_chain(cs)
@@ -194,11 +201,22 @@ def cauchy_bound(coeffs):
 def real_rooted(p):
     """True iff every complex root of p is real (Sturm certificate).
 
-    One chain decides it.  Strip the x^m factor to get q and build the
-    Sturm chain of q.  Its last entry g is gcd(q, q') up to a constant, so q
-    has deg q - deg g distinct complex roots, and the chain counts
-    V(-inf) - V(+inf) distinct real ones; q is real-rooted iff the two
-    counts agree.  Constants are vacuously real-rooted.
+    One chain decides it.  Strip the x^m factor to get q.  If q is
+    palindromic and its gamma vector is nonnegative, chain the gamma
+    polynomial Gamma instead of q (lemma below); otherwise chain q.  The
+    last chain entry g is gcd(f, f') up to a constant, for f the polynomial
+    chained, so f has deg f - deg g distinct complex roots, and the chain
+    counts V(-inf) - V(+inf) distinct real ones; f is real-rooted iff the
+    two counts agree.  Constants are vacuously real-rooted.
+
+    Lemma (Gal 2005; Branden 2004).  Let q = sum gamma_i x^i (1+x)^(d-2i)
+    with every gamma_i >= 0, Gamma(t) = sum gamma_i t^i, m = deg Gamma and
+    t_j the roots of Gamma.  Then q is real-rooted iff Gamma is.  Proof:
+    q = (1+x)^d Gamma(x / (1+x)^2) = gamma_m (1+x)^(d-2m) prod_j
+    (x - t_j (1+x)^2).  Each factor, -(t x^2 + (2t-1) x + t) with t = t_j,
+    has real roots iff t is real and t <= 1/4.  Since gamma >= 0 and gamma_0 = q(0) > 0,
+    Gamma > 0 on [0, inf), so every real t_j is negative, and q is
+    real-rooted iff every t_j is real.
     """
     if isinstance(p, (list, tuple)):
         p = Poly(p)
@@ -207,6 +225,10 @@ def real_rooted(p):
     cs = list(p.coeffs)
     while cs[0] == 0:
         cs.pop(0)
+    if cs == cs[::-1]:
+        gamma = gamma_vector(Poly(cs)).coeffs
+        if all(c >= 0 for c in gamma):
+            cs = gamma
     chain = sturm_chain(cs)
     real = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
     return real == len(chain[0]) - len(chain[-1])

@@ -45,6 +45,27 @@ def test_specht_dims():
     for m in range(1, 7):
         assert sum(specht_dim(lam) ** 2 for lam in partitions(m)) == factorial(m)
 
+    # the Frobenius product agrees with the hook length formula box by box
+    def by_hooks(lam):
+        conj = [sum(1 for v in lam if v > j) for j in range(lam[0])] if lam else []
+        hooks = 1
+        for i, row in enumerate(lam):
+            for j in range(row):
+                hooks *= row - j + conj[j] - i - 1
+        return factorial(sum(lam)) // hooks
+
+    assert specht_dim(()) == 1
+    for m in range(1, 13):
+        for lam in partitions(m):
+            assert specht_dim(lam) == by_hooks(lam), lam
+
+
+def test_dim_poly_fills_missing_degrees():
+    g = GradedVirtualRep(3, {0: VirtualRep.irreducible([3]), 2: 2 * VirtualRep.irreducible([2, 1])})
+    assert g.dim_poly() == Poly([1, 0, 4])
+    assert g.coeff(1) == VirtualRep(3)
+    assert GradedVirtualRep(3).dim_poly() == Poly([0])
+
 
 def test_virtual_rep_arithmetic():
     r = 2 * V2 - V11

@@ -254,6 +254,59 @@ def test_gamma_vector_requires_symmetry():
         gamma_vector(Poly([0, 1, 1]), 2)
 
 
+def peel_gamma_vector(p, d=None):
+    """The full-row peel with `comb` per entry and a residue check: the
+    reference for `gamma_vector`."""
+    if d is None:
+        d = p.degree
+    if not is_palindromic(p, d):
+        raise NotPalindromic("polynomial is not symmetric with center %s/2" % d)
+    work = [p.coeff(i) for i in range(d + 1)]
+    gamma = []
+    for i in range(d // 2 + 1):
+        g = work[i]
+        gamma.append(g)
+        if g:
+            e = d - 2 * i
+            for j in range(e + 1):
+                work[i + j] -= g * comb(e, j)
+    if any(work):
+        raise NotPalindromic("gamma peeling left a nonzero residue")
+    return Poly(gamma)
+
+
+def test_gamma_vector_matches_full_peel():
+    assert gamma_vector(X, 2) == Poly([0, 1])
+    assert gamma_vector(X ** 2, 4) == Poly([0, 0, 1])
+    for p, d in ((X, 0), (X ** 3, 2), (Poly([1, 2, 1]), 1), (Poly([1, 1]), -1), (Poly([0, 1, 1]), 2)):
+        for f in (gamma_vector, peel_gamma_vector):
+            with pytest.raises(NotPalindromic):
+                f(p, d)
+    rng = random.Random(71)
+    cases = [(ZERO, d) for d in (None, -3, -1, 0, 5)]
+    for _ in range(400):
+        p, d = random_palindromic(rng, 6)
+        cases += [(p, d), (p, d + rng.randint(1, 3)), (p, None)]
+        if p.degree > 0:
+            cases.append((p, p.degree - 1))  # d below the degree
+        cases.append((p + Poly([0] * rng.randint(0, d) + [rng.choice([-1, 1])]), d))
+    odd = even = 0
+    for p, d in cases:
+        try:
+            want = peel_gamma_vector(p, d)
+        except NotPalindromic:
+            with pytest.raises(NotPalindromic):
+                gamma_vector(p, d)
+            continue
+        assert gamma_vector(p, d) == want, (p, d)
+        center = p.degree if d is None else d
+        if p:
+            assert gamma_expand(want, center) == p
+            odd += center % 2
+            even += 1 - center % 2
+    assert odd and even
+
+
 def test_gamma_round_trip():
     rng = random.Random(7)
     for _ in range(300):

@@ -4,8 +4,9 @@ from math import gcd
 
 import pytest
 
+from matroid_invariants import realroots
 from matroid_invariants.invariants import aug_chow_paving, chow_braid, chow_paving
-from matroid_invariants.poly import ONE, Poly, X, eulerian
+from matroid_invariants.poly import ONE, Poly, X, eulerian, gamma_expand, gamma_vector
 from matroid_invariants.realroots import (
     _derivative,
     _primitive,
@@ -190,6 +191,58 @@ def test_real_rooted_matches_squarefree_reference():
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def palindromic_corpus(rng):
+    """Palindromic polynomials, most of them gamma-nonnegative: expansions
+    of random gamma >= 0 (real-rooted or not), products of (x + a)(a x + 1),
+    1 + x and a non-real-rooted gamma-positive quartic with repeated factors,
+    expansions of mixed-sign gamma, then x^m shifts and negations of a share
+    of them."""
+    quartic = gamma_expand(Poly([1, 0, 1]), 4)
+    polys = [gamma_expand(Poly(g), d) for g, d in (([1, 0, 1], 4), ([1, 0, 1], 5), ([1, 0, 0, 1], 6), ([1, 0, 0, 1], 7))]
+    for sign in (0, 1):
+        for _ in range(150):
+            d = rng.randint(0, 12)
+            g = [rng.randint(-6 * sign, 6) for _ in range(d // 2 + 1)]
+            g[0] = rng.randint(1, 6)
+            polys.append(gamma_expand(Poly(g), d))
+    for _ in range(200):
+        p = Poly([rng.randint(1, 3)])
+        for _ in range(rng.randint(1, 4)):
+            a = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+            factor = rng.choice([Poly([a, 1]) * Poly([1, a]), ONE + X, quartic])
+            p = p * factor ** rng.randint(1, 3)
+        polys.append(p)
+    for p in list(polys[::3]):
+        polys += [p.shift(rng.randint(1, 3)), -p, -p.shift(1)]
+    return polys
+
+
+def test_gamma_route_matches_reference(monkeypatch):
+    """`real_rooted` chains the gamma polynomial of palindromic,
+    gamma-nonnegative inputs; the Fraction reference never reduces."""
+    chained = []
+    chain = realroots.sturm_chain
+
+    def spy(cs):
+        chained.append(len(cs))
+        return chain(cs)
+
+    monkeypatch.setattr(realroots, "sturm_chain", spy)
+    verdicts = set()
+    for p in palindromic_corpus(random.Random(83)):
+        chained.clear()
+        got = real_rooted(p)
+        assert got == ref_real_rooted(p), p
+        q = list(p.coeffs)
+        while q[0] == 0:
+            q.pop(0)
+        gamma = gamma_vector(Poly(q)).coeffs if q == q[::-1] else None
+        route = gamma is not None and all(c >= 0 for c in gamma)
+        assert chained == [len(gamma) if route else len(q)], p
+        verdicts.add((route, got))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_real_rooted_basic():
     assert real_rooted((ONE + X) ** 3)
     assert not real_rooted(Poly([1, 1, 1]))
@@ -225,6 +278,27 @@ def test_count_on_intervals():
     # a nonzero constant has no roots, on the whole line or an interval
     assert count_distinct_real_roots(Poly([-5])) == 0
     assert count_distinct_real_roots(Poly([-5]), Fraction(-4), Fraction(3)) == 0
+
+
+def test_count_with_roots_at_endpoints():
+    # the chain is that of the squarefree part, so an endpoint may be a
+    # multiple root: counts are of (lo, hi] all the same
+    p = poly_from_roots([1, 1, 2])
+    assert count_distinct_real_roots(p, 0, 1) == 1
+    assert count_distinct_real_roots(p, 1, 3) == 1
+    q = poly_from_roots([1, 1, 1]) * Poly([1, 0, 1])
+    assert count_distinct_real_roots(q, 1, 2) == 0
+    assert count_distinct_real_roots(q, 0, 1) == 1
+    rng = random.Random(79)
+    for _ in range(150):
+        roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(rng.randint(1, 6))]
+        p = rational_root_poly(roots, rng.choice((1, -1))) * rng.choice((ONE, Poly([1, 0, 1]), Poly([2, 2, 1]) ** 2))
+        points = set(roots) | {Fraction(rng.randint(-14, 14), rng.randint(1, 4)) for _ in range(3)}
+        for lo in [None, *points]:
+            for hi in [None, *points]:
+                if lo is None or hi is None or lo < hi:
+                    want = len({r for r in roots if (lo is None or lo < r) and (hi is None or r <= hi)})
+                    assert count_distinct_real_roots(p, lo, hi) == want, (roots, lo, hi)
 
 
 def test_squarefree_part():
