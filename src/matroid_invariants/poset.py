@@ -8,21 +8,25 @@ a closure search.  The engines use one small interface: `size`, `ranks[i]`,
 `order` (all ids in increasing rank order), `above[i]` (ids strictly above
 i, ascending by rank, then by id), `bottom`, `top`, `leq(i, j)`, and the
 order relation as int bitsets over ids, `up_mask[i]` (ids strictly above i)
-and `down_mask[i]` (ids strictly below i).  Instances are immutable apart
-from `_cache`, which holds, once first asked for:
+and `down_mask[i]` (ids strictly below i).  An id outside 0..size-1 raises
+`ValueError`.  Instances are immutable apart from `_cache`, which holds,
+once first asked for:
 
-- `chi_rows[x]`: for every y >= x the coefficient tuple of chi([x, y]),
-  whose constant term is mu(x, y); one integer walk of each interval
-  [x, y] fills the whole row of its lower endpoint x;
-- `chibar_rows[x][y]`: the reduced characteristic polynomial of [x, y];
+- `chi_rows[x]`: chi([x, y]) as a `Poly` for every y >= x, whose constant
+  term is mu(x, y).  One walk over the y >= x fills the row: it sorts the
+  z already done into mu-classes by rank and value, so each coefficient of
+  chi([x, y]) is a few popcounts of `down_mask[y]` against class masks;
+- `chibar_rows[x]`: the reduced characteristic polynomial of every
+  [x, y], each cached chi([x, y]) divided by x - 1 when x is first asked;
 - one table per `interval_dp` name.
 
 Every per-interval table, here and in `invariants`, is one `interval_dp`:
 the value at an element is a sum over the elements strictly above (or
 below) it of a kernel of the interval between them times the value there,
-followed by a finishing step.  The kernel gives coefficients, and the
-product is taken in place, so a table costs one multiplication of small
-coefficient lists per comparable pair.
+followed by a finishing step.  The kernel gives coefficients, read off the
+cached rows, and the product is taken in place against the coefficient
+tuples kept beside the table, so a table costs one multiplication of small
+coefficient lists per comparable pair and makes no polynomial per pair.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class GradedPoset:
         m = len(ranks)
         if m == 0:
             raise ValueError("empty poset")
-        up = [0] * m
+        ups = [[] for _ in range(m)]  # ids covering each id
         for lo, hi in covers:
             if not (0 <= lo < m and 0 <= hi < m):
                 raise ValueError("cover endpoint out of range")
@@ -47,20 +51,21 @@ class GradedPoset:
                 raise ValueError(
                     "cover (%d, %d) does not raise rank by exactly 1" % (lo, hi)
                 )
-            up[lo] |= 1 << hi
-        order = sorted(range(m), key=ranks.__getitem__)
+            ups[lo].append(hi)
+        in_rank_order = all(a <= b for a, b in zip(ranks, ranks[1:]))
+        order = list(range(m)) if in_rank_order else sorted(range(m), key=ranks.__getitem__)
         # the order relation from the covers: the ids above i by decreasing
         # rank of i, the ids below by increasing rank
         up_mask = [0] * m
         down_mask = [0] * m
         for i in reversed(order):
             acc = 0
-            for j in set_of(up[i]):
+            for j in ups[i]:
                 acc |= (1 << j) | up_mask[j]
             up_mask[i] = acc
         for i in order:
             at_or_below = down_mask[i] | (1 << i)
-            for j in set_of(up[i]):
+            for j in ups[i]:
                 down_mask[j] |= at_or_below
         bottoms = [i for i in range(m) if not down_mask[i]]
         tops = [i for i in range(m) if not up_mask[i]]
@@ -76,11 +81,17 @@ class GradedPoset:
         self.order = order
         self.up_mask = up_mask
         self.down_mask = down_mask
-        # set_of lists ids ascending, so a stable sort by rank orders by (rank, id)
-        self.above = [sorted(set_of(a), key=ranks.__getitem__) for a in up_mask]
+        # set_of lists ids ascending, which is (rank, id) order when ids
+        # follow rank; otherwise a stable sort by rank gives that order
+        if in_rank_order:
+            self.above = [set_of(a) for a in up_mask]
+        else:
+            self.above = [sorted(set_of(a), key=ranks.__getitem__) for a in up_mask]
         self._cache = {}
 
     def leq(self, i, j):
+        _require_id(self, i)
+        _require_id(self, j)
         return i == j or bool(self.up_mask[i] >> j & 1)
 
     @classmethod
@@ -153,42 +164,61 @@ def lattice_of_flats(matroid):
 # -- Moebius numbers and interval characteristic polynomials -----------------
 
 
+def _require_id(p, i):
+    """Raise ValueError naming i unless it is an id of p."""
+    if not 0 <= i < p.size:
+        raise ValueError("id %r is not an element of this poset (ids run 0..%d)" % (i, p.size - 1))
+
+
 def _chi_row(p, x):
-    """Coefficient tuples of chi([x, y]) for every y >= x, memoized on the
-    poset.  One walk of each interval [x, y], in increasing rank of y,
-    sums mu(x, z) by the rank of z; the sums are the coefficients of
-    chi([x, y]) but its constant term, and mu(x, y) is minus their total."""
+    """chi([x, y]) as a `Poly` for every y >= x, memoized on the poset.
+
+    The walk visits y in increasing rank and sorts the z >= x already seen
+    into mu-classes: for each rank gap s, a dict from a value v to the id
+    mask of the z with rk z - rk x = s and mu(x, z) = v (mu = 0 drops out).
+    Coefficient rk y - rk x - s of chi([x, y]) is then
+    sum_v v * |down[y] & mask|, one popcount per class, and mu(x, y) is minus
+    the sum of the others."""
     rows = p._cache.get("chi_rows")
     if rows is None:
         rows = p._cache["chi_rows"] = {}
     row = rows.get(x)
     if row is not None:
         return row
+    _require_id(p, x)
     ranks, down = p.ranks, p.down_mask
     rx = ranks[x]
-    from_x = p.up_mask[x] | (1 << x)
-    mu = [0] * p.size
-    mu[x] = 1
-    row = {x: (1,)}
-    for y in p.above[x]:  # ascending rank, so mu is known strictly below y
-        ry = ranks[y]
-        graded = [0] * (ry - rx + 1)
-        below = down[y] & from_x
-        while below:
-            low = below & -below
-            below ^= low
-            z = low.bit_length() - 1
-            graded[ry - ranks[z]] += mu[z]
-        graded[0] = mu[y] = -sum(graded)
-        row[y] = tuple(graded)
+    classes = [{} for _ in range(ranks[p.top] - rx + 1)]
+    classes[0][1] = 1 << x
+    row = {x: ONE}
+    for y in p.above[x]:  # ascending rank, so each class below rk y is complete
+        d = ranks[y] - rx
+        below = down[y]
+        graded = [0] * d + [1]
+        mu = -1
+        for s in range(1, d):
+            c = 0
+            for v, mask in classes[s].items():
+                c += v * (below & mask).bit_count()
+            graded[d - s] = c
+            mu -= c
+        graded[0] = mu
+        if mu:
+            cls = classes[d]
+            cls[mu] = cls.get(mu, 0) | 1 << y
+        row[y] = Poly(graded)
     rows[x] = row
     return row
 
 
 def mobius(p, x, y):
-    """Moebius number mu(x, y); 0 when x is not below y."""
+    """Moebius number mu(x, y); 0 when x is not below y.  Ids outside the
+    poset raise ValueError, checked only when the row has no entry y."""
     chi = _chi_row(p, x).get(y)
-    return 0 if chi is None else chi[0]
+    if chi is None:
+        _require_id(p, y)
+        return 0
+    return chi.coeffs[0]
 
 
 def interval_char_poly(p, x, y):
@@ -196,24 +226,27 @@ def interval_char_poly(p, x, y):
     sum_{x <= z <= y} mu(x, z) t^(rk y - rk z)."""
     chi = _chi_row(p, x).get(y)
     if chi is None:
+        _require_id(p, y)
         raise ValueError("not an interval")
-    return Poly(chi)
+    return chi
 
 
 def interval_chibar(p, x, y):
-    """Reduced characteristic polynomial of the interval [x, y], memoized;
-    by convention -1 for the one-point interval."""
-    if x == y:
-        return Poly((-1,))
+    """Reduced characteristic polynomial of the interval [x, y], memoized
+    by rows: the first ask for a lower endpoint x divides every cached
+    chi([x, y]) by x - 1.  By convention -1 for the one-point interval."""
     rows = p._cache.get("chibar_rows")
     if rows is None:
         rows = p._cache["chibar_rows"] = {}
     row = rows.get(x)
     if row is None:
-        row = rows[x] = {}
+        chis = _chi_row(p, x)
+        row = rows[x] = {y: exact_div_x_minus_1(chi) for y, chi in chis.items() if y != x}
+        row[x] = Poly((-1,))
     val = row.get(y)
     if val is None:
-        val = row[y] = exact_div_x_minus_1(interval_char_poly(p, x, y))
+        _require_id(p, y)
+        raise ValueError("not an interval")
     return val
 
 
@@ -284,34 +317,40 @@ def interval_dp(p, name, upward, kernel, finish=None):
     bottom gets ONE and z gets finish(z, sum over w < z of
     K(w, z) * table[w]).  So `kernel(x, y)` always sees the interval [x, y]
     in order; it returns the coefficient tuple of the interval's weight
-    K(x, y), empty for a zero weight.  Each weight is multiplied into one
-    coefficient list per element in place, so no polynomial is made per
-    comparable pair.  Without `finish` the sum itself is stored.
+    K(x, y), empty for a zero weight, usually read off the cached chi or
+    chibar rows.  Each weight is multiplied by index into one coefficient
+    list per element, against the coefficient tuples of the finished
+    entries kept beside the table, so no polynomial is made per comparable
+    pair.  Without `finish` the sum itself is stored.
     """
     table = p._cache.get(name)
     if table is not None:
         return table
     table = [None] * p.size
+    coeffs = [None] * p.size  # table[w].coeffs, kept beside the table
     if upward:
         end, ids = p.top, reversed(p.order)
     else:
         end, ids = p.bottom, p.order
     for z in ids:
         if z == end:
-            table[z] = ONE
+            table[z], coeffs[z] = ONE, ONE.coeffs
             continue
-        acc = []
+        acc, size = [], 0
         for w in (p.above[z] if upward else set_of(p.down_mask[z])):
             weight = kernel(z, w) if upward else kernel(w, z)
-            value = table[w].coeffs
-            need = len(weight) + len(value) - 1
-            if need > len(acc):
-                acc.extend([0] * (need - len(acc)))
+            value = coeffs[w]
+            lv = len(value)
+            need = len(weight) + lv - 1
+            if need > size:
+                acc += [0] * (need - size)
+                size = need
             for i, a in enumerate(weight):
                 if a:
-                    for j, b in enumerate(value, i):
-                        acc[j] += a * b
-        table[z] = Poly(acc) if finish is None else finish(z, Poly(acc))
+                    for j in range(lv):
+                        acc[i + j] += a * value[j]
+        val = Poly(acc) if finish is None else finish(z, Poly(acc))
+        table[z], coeffs[z] = val, val.coeffs
     p._cache[name] = table
     return table
 

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+from matroid_invariants import invariants, poset
 from matroid_invariants.matroid import (
     Matroid,
     boolean,
@@ -13,6 +15,7 @@ from matroid_invariants.matroid import (
     empty_matroid,
     equal_tutte_pair,
     mask_of,
+    set_of,
     uniform,
     vamos,
 )
@@ -40,17 +43,21 @@ COUNTEREXAMPLE = {
 
 
 def brute_mobius_matrix(p):
-    """Independent oracle: invert the zeta matrix over the rationals."""
+    """Independent oracle: invert the zeta matrix over the rationals by
+    Gauss-Jordan elimination.  Entries stay ints while every pivot is 1,
+    as it always is when ids follow rank; a row is turned into Fractions
+    only to divide it by another pivot."""
     m = p.size
-    zeta = [[Fraction(1 if p.leq(i, j) else 0) for j in range(m)] for i in range(m)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    zeta = [[1 if p.leq(i, j) else 0 for j in range(m)] for i in range(m)]
+    inv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for col in range(m):
         pivot = next(r for r in range(col, m) if zeta[r][col])
         zeta[col], zeta[pivot] = zeta[pivot], zeta[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         scale = zeta[col][col]
-        zeta[col] = [v / scale for v in zeta[col]]
-        inv[col] = [v / scale for v in inv[col]]
+        if scale != 1:
+            zeta[col] = [Fraction(v) / scale for v in zeta[col]]
+            inv[col] = [Fraction(v) / scale for v in inv[col]]
         for r in range(m):
             if r != col and zeta[r][col]:
                 f = zeta[r][col]
@@ -314,6 +321,29 @@ def random_graded_posets():
     return [random_graded_poset(rng, length, width) for length in (1, 2, 3, 4, 5) for width in (1, 2, 4)]
 
 
+def relabelled(p, rng):
+    """p with its ids renumbered by a random permutation perm (old id i
+    becomes perm[i]) and its covers given in random order, one of them
+    twice.  Returns the new poset and perm."""
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    ranks = [0] * p.size
+    for i, r in enumerate(p.ranks):
+        ranks[perm[i]] = r
+    covers = [(perm[lo], perm[hi]) for lo, hi in p.to_json()["covers"]]
+    covers.append(covers[0])
+    rng.shuffle(covers)
+    return GradedPoset(ranks, covers), perm
+
+
+def relabelled_cases():
+    """(poset, relabelled copy, perm) for the random posets and the
+    counterexample poset."""
+    rng = random.Random(20261019)
+    posets = random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
+    return [(p,) + relabelled(p, rng) for p in posets]
+
+
 def test_random_posets_mobius_against_zeta_inverse():
     for p in random_graded_posets():
         inv = brute_mobius_matrix(p)
@@ -322,25 +352,92 @@ def test_random_posets_mobius_against_zeta_inverse():
                 assert mobius(p, i, j) == inv[i][j], (p, i, j)
 
 
-def test_interval_polynomials_agree_on_every_pair(small_corpus, store):
+def chi_from_mobius_matrix(p, inv, leq, x, y):
+    """sum over x <= z <= y of inv[x][z] t^(rk y - rk z), with leq[i][j]
+    the order relation."""
+    coeffs = [0] * (p.ranks[y] - p.ranks[x] + 1)
+    for z in range(p.size):
+        if leq[x][z] and leq[z][y]:
+            coeffs[p.ranks[y] - p.ranks[z]] += inv[x][z]
+    return Poly(coeffs)
+
+
+def test_interval_polynomials_agree_on_every_pair(small_corpus):
     posets = random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
-    posets += [store.lattice(m) for _, m, _ in small_corpus]
+    posets += [q for _, q, _ in relabelled_cases()]
+    posets += [lattice_of_flats(m) for _, m, _ in small_corpus]
     for p in posets:
+        inv = brute_mobius_matrix(p)
+        leq = [[p.leq(x, y) for y in range(p.size)] for x in range(p.size)]
         for x in range(p.size):
             for y in range(p.size):
-                if not p.leq(x, y):
+                if not leq[x][y]:
                     assert mobius(p, x, y) == 0
                     for fn in (interval_char_poly, interval_chibar):
                         with pytest.raises(ValueError):
                             fn(p, x, y)
                     continue
                 chi = interval_char_poly(p, x, y)
+                assert chi == chi_from_mobius_matrix(p, inv, leq, x, y), (p, x, y)
                 assert chi.coeff(0) == mobius(p, x, y), (p, x, y)
                 assert chi.degree == p.ranks[y] - p.ranks[x] and chi.coeffs[-1] == 1
                 if x == y:
                     assert interval_chibar(p, x, y) == Poly((-1,))
                 else:
                     assert interval_chibar(p, x, y) * (X - ONE) == chi, (p, x, y)
+
+
+def test_relabelled_posets_map_through_the_permutation():
+    cases = relabelled_cases()
+    # ids out of rank order, so the rank sorts in GradedPoset run
+    assert sum(q.order != list(range(q.size)) for _, q, _ in cases) >= len(cases) // 2
+    for p, q, perm in cases:
+        assert (q.bottom, q.top) == (perm[p.bottom], perm[p.top])
+        assert [q.ranks[perm[i]] for i in range(p.size)] == list(p.ranks)
+        assert [q.ranks[i] for i in q.order] == sorted(q.ranks)
+        for i in range(p.size):
+            assert sorted(q.above[perm[i]]) == sorted(perm[j] for j in p.above[i]), (p, i)
+        for i in range(q.size):
+            assert q.above[i] == sorted(q.above[i], key=lambda j: (q.ranks[j], j)), (q, i)
+        for x in range(p.size):
+            for y in range(p.size):
+                qx, qy = perm[x], perm[y]
+                assert q.leq(qx, qy) == p.leq(x, y)
+                assert mobius(q, qx, qy) == mobius(p, x, y), (p, x, y)
+                for fn in (interval_char_poly, interval_chibar):
+                    if p.leq(x, y):
+                        assert fn(q, qx, qy) == fn(p, x, y), (fn, p, x, y)
+                    else:
+                        with pytest.raises(ValueError):
+                            fn(q, qx, qy)
+        for fn in (kls_uH_general, kls_H_general, kls_P_general, kls_Z_general):
+            assert fn(q) == fn(p), (fn, p)
+        # the cover given twice comes out once
+        covers = sorted([perm[lo], perm[hi]] for lo, hi in p.to_json()["covers"])
+        assert q.to_json()["covers"] == covers
+        blob = json.dumps(q.to_json(), sort_keys=True)
+        again = GradedPoset.from_json(json.loads(blob))
+        assert json.dumps(again.to_json(), sort_keys=True) == blob
+        assert (again.ranks, again.order, again.above) == (q.ranks, q.order, q.above)
+        assert (again.up_mask, again.down_mask) == (q.up_mask, q.down_mask)
+
+
+def test_ids_outside_the_poset_are_named():
+    p = GradedPoset([0, 1], [[0, 1]])
+    queries = [p.leq] + [
+        lambda x, y, fn=fn: fn(p, x, y) for fn in (interval_chibar, interval_char_poly, mobius)
+    ]
+    for bad in (7, -1):
+        for query in queries:
+            for pair in ((bad, bad), (0, bad), (bad, 0)):
+                with pytest.raises(ValueError, match="^id %d is not" % bad):
+                    query(*pair)
+    # the same once the rows of every element are cached
+    assert interval_chibar(p, 0, 1) == ONE and interval_char_poly(p, 1, 1) == ONE
+    assert mobius(p, 1, 0) == 0
+    for fn in (interval_chibar, interval_char_poly, mobius):
+        with pytest.raises(ValueError, match="^id 2 is not"):
+            fn(p, 0, 2)
 
 
 def test_mobius_alternates_on_geometric_lattices(small_corpus, store):
@@ -514,3 +611,71 @@ def test_boolean_z_and_p():
     lat23 = lattice_of_flats(uniform(2, 3))
     assert kls_Z_general(lat23) == Poly([1, 3, 1])
     assert kls_P_general(lat23) == ONE
+
+
+def reference_interval_dp(p, name, upward, kernel, finish=None):
+    """The interval DP as first written, kept as an oracle: one
+    `enumerate` pair per nonzero weight coefficient, reading each
+    finished entry's coefficients off the table."""
+    table = [None] * p.size
+    if upward:
+        end, ids = p.top, reversed(p.order)
+    else:
+        end, ids = p.bottom, p.order
+    for z in ids:
+        if z == end:
+            table[z] = ONE
+            continue
+        acc = []
+        for w in (p.above[z] if upward else set_of(p.down_mask[z])):
+            weight = kernel(z, w) if upward else kernel(w, z)
+            value = table[w].coeffs
+            need = len(weight) + len(value) - 1
+            if need > len(acc):
+                acc.extend([0] * (need - len(acc)))
+            for i, a in enumerate(weight):
+                if a:
+                    for j, b in enumerate(value, i):
+                        acc[j] += a * b
+        table[z] = Poly(acc) if finish is None else finish(z, Poly(acc))
+    return table
+
+
+DP_TABLES = {
+    "chains": lambda m, p: invariants._chain_table(p),
+    "chow_upper": lambda m, p: invariants.chow_char_conv(m, p),
+    "chow_table": lambda m, p: poset.chow_table(p),
+    "chow_lower": lambda m, p: invariants.chow_incidence_inv(m, p),
+    "aug_upper_mobius": lambda m, p: invariants.aug_chow_mobius_conv(m, p),
+    "aug_lower_mobius": lambda m, p: invariants.aug_chow_incidence_inv(m, p),
+    "kl_upper": lambda m, p: invariants._kl_upper_table(p),
+    "kl_table": lambda m, p: poset.kl_table(p),
+    "proper_chains": lambda m, p: bergman_f_h(m, p),
+}
+
+
+def test_interval_dp_matches_the_reference_loop(small_corpus, monkeypatch):
+    seen = {}
+    real = poset.interval_dp
+
+    def recording(p, name, upward, kernel, finish=None):
+        seen[name] = (upward, kernel, finish)
+        return real(p, name, upward, kernel, finish)
+
+    monkeypatch.setattr(poset, "interval_dp", recording)
+    monkeypatch.setattr(invariants, "interval_dp", recording)
+    cases = [(name, m, lattice_of_flats(m)) for name, m, _ in small_corpus if m.rank]
+    cases += [(name, m, lattice_of_flats(m)) for name, m in stress_matroids()]
+    for i, p in enumerate(random_graded_posets()):
+        # the two engines that ask a matroid only whether it is loopless
+        # and its rank
+        stand_in = SimpleNamespace(is_loopless=lambda: True, rank=p.ranks[p.top])
+        cases.append(("random-%d" % i, stand_in, p))
+    for name, m, p in cases:
+        seen.clear()
+        for compute in DP_TABLES.values():
+            compute(m, p)
+        assert set(seen) == set(DP_TABLES), name
+        for table, (upward, kernel, finish) in seen.items():
+            expect = reference_interval_dp(p, table, upward, kernel, finish)
+            assert p._cache[table] == expect, (name, table)
