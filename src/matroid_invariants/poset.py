@@ -24,9 +24,10 @@ Every per-interval table, here and in `invariants`, is one `interval_dp`:
 the value at an element is a sum over the elements strictly above (or
 below) it of a kernel of the interval between them times the value there,
 followed by a finishing step.  The kernel gives coefficients, read off the
-cached rows, and the product is taken in place against the coefficient
-tuples kept beside the table, so a table costs one multiplication of small
-coefficient lists per comparable pair and makes no polynomial per pair.
+cached rows.  Each weight and each finished entry is packed into one int,
+the polynomial evaluated at a power of two wide enough for a proven bound
+on the coefficients of the sum, so a table costs one big-integer
+multiply-add per comparable pair and one exact decoding per element.
 """
 
 from __future__ import annotations
@@ -309,6 +310,30 @@ def bergman_f_h(matroid, lattice=None):
 # -- generic interval engines -------------------------------------------------
 
 
+def _pack(coeffs, bits):
+    """The polynomial with these coefficients, evaluated at x = 2^bits."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def _unpack(v, bits):
+    """Coefficients of the integer polynomial S with S(2^bits) = v, read as
+    signed base-2^bits digits, lowest first.  Exact when every coefficient
+    of S has absolute value below 2^(bits - 1)."""
+    mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
+    while v:
+        d = v & mask
+        v >>= bits
+        if d >= half:  # a negative digit borrows one from the next
+            d -= base
+            v += 1
+        out.append(d)
+    return out
+
+
 def interval_dp(p, name, upward, kernel, finish=None):
     """Table over all elements of p, cached as `p._cache[name]`.
 
@@ -318,39 +343,62 @@ def interval_dp(p, name, upward, kernel, finish=None):
     K(w, z) * table[w]).  So `kernel(x, y)` always sees the interval [x, y]
     in order; it returns the coefficient tuple of the interval's weight
     K(x, y), empty for a zero weight, usually read off the cached chi or
-    chibar rows.  Each weight is multiplied by index into one coefficient
-    list per element, against the coefficient tuples of the finished
-    entries kept beside the table, so no polynomial is made per comparable
-    pair.  Without `finish` the sum itself is stored.
+    chibar rows.  The tuple must be hashable.  Without `finish` the sum
+    itself is stored.
+
+    Every weight and every finished entry is packed into one int, the
+    polynomial evaluated at x = 2^B, so a comparable pair costs one
+    big-integer multiply-add and each sum is decoded once, as signed
+    base-2^B digits.  Evaluation at 2^B is a ring homomorphism, so the
+    packed sum is S(2^B) exactly, and the decoding returns S when every
+    |S_k| < 2^(B - 1).  Bound: for z with N neighbours,
+    |S_k(z)| <= sum_w |K(z, w)|_1 * |table[w]|_inf <= N * max_k * max_t,
+    where max_k is the largest L1 norm of a weight packed so far and
+    max_t the largest |coefficient| of a finished entry.  B starts at 64;
+    after summing z, unless (N * max_k * max_t).bit_length() + 1 < B, B
+    doubles until it holds, every finished entry is repacked from its
+    coefficient tuple and z is summed again (calling the kernel again).
+    Packed weights live only for one call.
     """
     table = p._cache.get(name)
     if table is not None:
         return table
     table = [None] * p.size
-    coeffs = [None] * p.size  # table[w].coeffs, kept beside the table
+    packed = [0] * p.size  # table[w] at x = 2^bits
+    bits = 64
+    packs = {}  # weight tuple -> the weight at x = 2^bits
+    max_k, max_t = 0, 1
     if upward:
         end, ids = p.top, reversed(p.order)
     else:
         end, ids = p.bottom, p.order
     for z in ids:
         if z == end:
-            table[z], coeffs[z] = ONE, ONE.coeffs
+            table[z], packed[z] = ONE, 1
             continue
-        acc, size = [], 0
-        for w in (p.above[z] if upward else set_of(p.down_mask[z])):
-            weight = kernel(z, w) if upward else kernel(w, z)
-            value = coeffs[w]
-            lv = len(value)
-            need = len(weight) + lv - 1
-            if need > size:
-                acc += [0] * (need - size)
-                size = need
-            for i, a in enumerate(weight):
-                if a:
-                    for j in range(lv):
-                        acc[i + j] += a * value[j]
-        val = Poly(acc) if finish is None else finish(z, Poly(acc))
-        table[z], coeffs[z] = val, val.coeffs
+        ws = p.above[z] if upward else set_of(p.down_mask[z])
+        while True:
+            acc = 0
+            for w in ws:
+                weight = kernel(z, w) if upward else kernel(w, z)
+                pw = packs.get(weight)
+                if pw is None:
+                    pw = packs[weight] = _pack(weight, bits)
+                    max_k = max(max_k, sum(map(abs, weight)))
+                acc += pw * packed[w]
+            need = (len(ws) * max_k * max_t).bit_length() + 1
+            if need < bits:
+                break
+            while need >= bits:
+                bits *= 2
+            packs.clear()
+            for w, val in enumerate(table):
+                if val is not None:
+                    packed[w] = _pack(val.coeffs, bits)
+        s = Poly(_unpack(acc, bits))
+        val = s if finish is None else finish(z, s)
+        table[z], packed[z] = val, _pack(val.coeffs, bits)
+        max_t = max(max_t, max(map(abs, val.coeffs), default=0))
     p._cache[name] = table
     return table
 

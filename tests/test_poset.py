@@ -679,3 +679,91 @@ def test_interval_dp_matches_the_reference_loop(small_corpus, monkeypatch):
         for table, (upward, kernel, finish) in seen.items():
             expect = reference_interval_dp(p, table, upward, kernel, finish)
             assert p._cache[table] == expect, (name, table)
+
+
+def _scaled_chibar_kernel(p, scale):
+    """chibar([x, y]) scaled by `scale`, with each odd coefficient added
+    back once, so the weights share no common factor."""
+    return lambda x, y: tuple(scale * a + (a & 1) * a for a in interval_chibar(p, x, y).coeffs)
+
+
+def _negate(z, s):
+    return -s
+
+
+def test_interval_dp_widens_for_large_coefficients(small_corpus):
+    # entries of a few hundred to over a thousand bits: the packed width
+    # must double from 64 bits at least four times to decode them
+    posets = [lattice_of_flats(m) for _, m, _ in small_corpus if m.rank]
+    posets += random_graded_posets()
+    widest = 0
+    for i, p in enumerate(posets):
+        for scale in (2**70, -(2**130) + 7, 3**200):
+            for upward in (True, False):
+                name = "widen-%d-%s" % (scale.bit_length(), upward)
+                kernel = _scaled_chibar_kernel(p, scale)
+                got = poset.interval_dp(p, name, upward, kernel, _negate)
+                assert got == reference_interval_dp(p, name, upward, kernel, _negate), (i, name)
+                widest = max(widest, max(abs(c).bit_length() for v in got for c in v.coeffs))
+    assert widest > 1000
+    # each product fits in 63 bits, their sum over nine neighbours does
+    # not: the bound must count the neighbours
+    star = GradedPoset([0] + [1] * 8 + [2], [(0, a) for a in range(1, 9)] + [(a, 9) for a in range(1, 9)])
+    def kernel(x, y):
+        return (2**31 - 1,)
+
+    got = poset.interval_dp(star, "edge", True, kernel)
+    assert got == reference_interval_dp(star, "edge", True, kernel)
+    assert got[0] == Poly([8 * (2**31 - 1) ** 2 + 2**31 - 1])
+
+
+def test_packed_digits_round_trip_at_their_edge():
+    rng = random.Random(20261020)
+    for bits in (2, 8, 64, 65):
+        edge = (1 << (bits - 1)) - 1  # the largest |coefficient| decoded exactly
+        cases = [[], [0], [edge], [-edge], [0, 0, -edge], [edge, 0, 0, -edge, 0], [-edge, edge, -1]]
+        for _ in range(40):
+            length = rng.randint(1, 9)
+            cases.append([rng.choice((0, edge, -edge, rng.randint(-edge, edge))) for _ in range(length)])
+        for cs in cases:
+            packed = poset._pack(cs, bits)
+            assert packed == Poly(cs)(1 << bits), (bits, cs)
+            assert poset._unpack(packed, bits) == list(Poly(cs).coeffs), (bits, cs)
+        # one past the edge the signed digit wraps
+        half = edge + 1
+        assert poset._unpack(poset._pack([half], bits), bits) != [half]
+
+
+def test_table_kernels_ask_the_traced_names_once_per_pair(small_corpus, monkeypatch):
+    # a profiler attributes the interval layer by calls through these
+    # names, so each comparable pair of a table must make exactly one
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        key = "%s.%s" % (module.__name__.rsplit(".", 1)[1], name)
+
+        def counted(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(poset, "interval_chibar")
+    for name in ("interval_chibar", "interval_char_poly", "mobius"):
+        count(invariants, name)
+    tables = {
+        "chow_upper": ("invariants.interval_chibar", invariants.chow_char_conv),
+        "kl_upper": ("invariants.interval_char_poly", lambda m, p: invariants._kl_upper_table(p)),
+        "aug_upper_mobius": ("invariants.mobius", invariants.aug_chow_mobius_conv),
+    }
+    for name, m, _ in small_corpus:
+        if not m.rank:
+            continue
+        p = lattice_of_flats(m)
+        pairs = sum(len(a) for a in p.above)
+        for table, (traced, build) in tables.items():
+            counts.clear()
+            build(m, p)
+            assert table in p._cache
+            assert counts == {traced: pairs}, (name, table)
