@@ -16,8 +16,9 @@ once first asked for:
   term is mu(x, y).  One walk over the y >= x fills the row: it sorts the
   z already done into mu-classes by rank and value, so each coefficient of
   chi([x, y]) is a few popcounts of `down_mask[y]` against class masks;
-- `chibar_rows[x]`: the reduced characteristic polynomial of every
-  [x, y], each cached chi([x, y]) divided by x - 1 when x is first asked;
+- `chibar_of_chi`: the reduced characteristic polynomial chi / (x - 1)
+  keyed by chi's coefficient tuple, so the division runs once per distinct
+  chi([x, y]) and intervals with one chi share one quotient;
 - one table per `interval_dp` name.
 
 Every per-interval table, here and in `invariants`, is one `interval_dp`:
@@ -233,21 +234,19 @@ def interval_char_poly(p, x, y):
 
 
 def interval_chibar(p, x, y):
-    """Reduced characteristic polynomial of the interval [x, y], memoized
-    by rows: the first ask for a lower endpoint x divides every cached
-    chi([x, y]) by x - 1.  By convention -1 for the one-point interval."""
-    rows = p._cache.get("chibar_rows")
-    if rows is None:
-        rows = p._cache["chibar_rows"] = {}
-    row = rows.get(x)
-    if row is None:
-        chis = _chi_row(p, x)
-        row = rows[x] = {y: exact_div_x_minus_1(chi) for y, chi in chis.items() if y != x}
-        row[x] = Poly((-1,))
-    val = row.get(y)
-    if val is None:
+    """Reduced characteristic polynomial chi([x, y]) / (x - 1), memoized on
+    the poset by chi's coefficients, so the intervals with one chi share one
+    quotient.  By convention -1 for the one-point interval."""
+    chi = _chi_row(p, x).get(y)
+    if chi is None:
         _require_id(p, y)
         raise ValueError("not an interval")
+    if x == y:
+        return Poly((-1,))
+    memo = p._cache.setdefault("chibar_of_chi", {})
+    val = memo.get(chi.coeffs)
+    if val is None:
+        val = memo[chi.coeffs] = exact_div_x_minus_1(chi)
     return val
 
 
@@ -266,9 +265,8 @@ def reduced_char_poly(matroid, lattice=None):
     """chi / (x - 1) for nonempty loopless matroids; -1 for the empty one."""
     if not matroid.is_loopless():
         raise ValueError("reduced characteristic polynomial needs a loopless matroid")
-    if matroid.n == 0:
-        return Poly((-1,))
-    return exact_div_x_minus_1(char_poly(matroid, lattice))
+    lat = lattice if lattice is not None else FlatsLattice(matroid)
+    return interval_chibar(lat, lat.bottom, lat.top)
 
 
 def whitney_numbers(matroid, lattice=None):
@@ -342,9 +340,9 @@ def interval_dp(p, name, upward, kernel, finish=None):
     bottom gets ONE and z gets finish(z, sum over w < z of
     K(w, z) * table[w]).  So `kernel(x, y)` always sees the interval [x, y]
     in order; it returns the coefficient tuple of the interval's weight
-    K(x, y), empty for a zero weight, usually read off the cached chi or
-    chibar rows.  The tuple must be hashable.  Without `finish` the sum
-    itself is stored.
+    K(x, y), empty for a zero weight, usually read off the cached chi rows
+    or the chibar memo.  The tuple must be hashable.  Without `finish` the
+    sum itself is stored.
 
     Every weight and every finished entry is packed into one int, the
     polynomial evaluated at x = 2^B, so a comparable pair costs one

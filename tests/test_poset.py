@@ -473,6 +473,8 @@ def test_char_poly_conventions():
     assert char_poly(Matroid.from_bases(2, [{0}])) == ZERO  # loops
     assert char_poly(empty_matroid()) == ONE
     assert reduced_char_poly(empty_matroid()) == Poly([-1])
+    with pytest.raises(ValueError):
+        reduced_char_poly(Matroid.from_bases(2, [{0}]))  # loops
     for m in (uniform(2, 4), boolean(3), complete_graph(4)):
         assert char_poly(m)(1) == 0
 
@@ -749,8 +751,8 @@ def test_table_kernels_ask_the_traced_names_once_per_pair(small_corpus, monkeypa
 
         monkeypatch.setattr(module, name, counted)
 
-    count(poset, "interval_chibar")
     for name in ("interval_chibar", "interval_char_poly", "mobius"):
+        count(poset, name)
         count(invariants, name)
     tables = {
         "chow_upper": ("invariants.interval_chibar", invariants.chow_char_conv),
@@ -767,3 +769,19 @@ def test_table_kernels_ask_the_traced_names_once_per_pair(small_corpus, monkeypa
             build(m, p)
             assert table in p._cache
             assert counts == {traced: pairs}, (name, table)
+
+
+def test_chibar_is_divided_once_per_distinct_chi():
+    # the chibar memo holds one quotient per distinct chi([x, y]), x < y,
+    # and every pair with that chi gets the same object
+    for m in (uniform(5, 10), equal_tutte_pair()[0]):
+        p = lattice_of_flats(m)
+        invariants.chow_char_conv(m, p)
+        invariants.chow_incidence_inv(m, p)
+        memo = p._cache["chibar_of_chi"]
+        pairs = [(x, y) for x in range(p.size) for y in p.above[x]]
+        chis = {interval_char_poly(p, x, y).coeffs for x, y in pairs}
+        assert set(memo) == chis, m
+        for x, y in pairs:
+            assert interval_chibar(p, x, y) is memo[interval_char_poly(p, x, y).coeffs], (m, x, y)
+        assert len(memo) < len(pairs), m  # some pairs really share a chi
