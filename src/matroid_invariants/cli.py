@@ -53,7 +53,7 @@ from .invariants import (
 from .matroid import Matroid, boolean, complete_graph, mask_of, uniform, vamos
 from .poly import Poly, gamma_vector, is_unimodal, series_inverse_prefix
 from .poset import GradedPoset, kls_H_general, kls_uH_general, lattice_of_flats, whitney_numbers
-from .realroots import interlaces, real_rooted
+from .realroots import interlaces, real_rooted, roots_all_real
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -363,19 +363,27 @@ def _sweep_one(payload):
     k, n, lam, checks = payload
     uh = chow_paving(k, n, {k: lam})
     h = aug_chow_paving(k, n, {k: lam})
+    polys = (("chow", uh, k - 1), ("augchow", h, k))
+    # each gamma is peeled once: real-rootedness is decided on a
+    # nonnegative gamma vector directly (the lemma in `real_rooted`)
+    gammas = {tag: gamma_vector(q, center) for tag, q, center in polys} if "gamma" in checks else {}
     failures = []
     for name in checks:
         if name == "gamma":
-            for tag, q, center in (("chow", uh, k - 1), ("augchow", h, k)):
-                g = gamma_vector(q, center)
+            for tag, g in gammas.items():
                 if any(c < 0 for c in g.coeffs):
                     failures.append({"check": "gamma", "poly": tag, "gamma": _coeffs(g)})
         elif name == "real-rooted":
-            for tag, q in (("chow", uh), ("augchow", h)):
-                if not real_rooted(q):
+            for tag, q, _ in polys:
+                g = gammas.get(tag)
+                if g is not None and all(c >= 0 for c in g.coeffs):
+                    real = roots_all_real(g.coeffs)
+                else:
+                    real = real_rooted(q)
+                if not real:
                     failures.append({"check": "real-rooted", "poly": tag, "coeffs": _coeffs(q)})
         elif name == "unimodal":
-            for tag, q in (("chow", uh), ("augchow", h)):
+            for tag, q, _ in polys:
                 if not is_unimodal(q):
                     failures.append({"check": "unimodal", "poly": tag})
     return lam, failures

@@ -14,7 +14,8 @@ The lattice engines are kernels over `poset.interval_dp`, one pass over the
 comparable pairs of the lattice of flats per table; they differ only in the
 kernel of an interval (reduced characteristic polynomial, Moebius number
 times 1 + ... + x^rank, characteristic polynomial, rank-gap factor), given
-as a coefficient tuple, and in the finishing step.
+as a coefficient tuple and asked once per chi class or rank gap, and in
+the finishing step.
 
 The deletion engines (semismall, bv_deletion) take the same lattice and
 recurse over flat-set minors read off its flats: a minor is the key
@@ -121,9 +122,9 @@ def _chain_table(lat):
     u[F] = 1 + sum_{G > F} (x + ... + x^(rk G - rk F - 1)) u[G].  Gaps of 1
     give a zero factor and are skipped."""
     ranks = lat.ranks
-    gap_factor = [ones(g - 1).shift(1).coeffs for g in range(ranks[lat.top] + 1)]
     return interval_dp(
-        lat, "chains", True, lambda f, g: gap_factor[ranks[g] - ranks[f]], lambda f, s: ONE + s
+        lat, "chains", True, lambda f, g: ones(ranks[g] - ranks[f] - 1).shift(1).coeffs,
+        lambda f, s: ONE + s, by_gap=True,
     )
 
 

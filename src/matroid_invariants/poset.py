@@ -12,10 +12,13 @@ and `down_mask[i]` (ids strictly below i).  An id outside 0..size-1 raises
 `ValueError`.  Instances are immutable apart from `_cache`, which holds,
 once first asked for:
 
-- `chi_rows[x]`: chi([x, y]) as a `Poly` for every y >= x, whose constant
-  term is mu(x, y).  One walk over the y >= x fills the row: it sorts the
-  z already done into mu-classes by rank and value, so each coefficient of
-  chi([x, y]) is a few popcounts of `down_mask[y]` against class masks;
+- `chi_ids` and `chi_polys`: each distinct chi([x, y]) interned once,
+  its coefficient tuple -> a small int class id -> its `Poly`, whose
+  constant term is mu(x, y);
+- `chi_rows[x]`: the class id of chi([x, y]) for every y >= x.  One walk
+  over the y >= x fills the row: it sorts the z already done into
+  mu-classes by rank and value, so each coefficient of chi([x, y]) is a
+  few popcounts of `down_mask[y]` against class masks;
 - `chibar_of_chi`: the reduced characteristic polynomial chi / (x - 1)
   keyed by chi's coefficient tuple, so the division runs once per distinct
   chi([x, y]) and intervals with one chi share one quotient;
@@ -24,8 +27,9 @@ once first asked for:
 Every per-interval table, here and in `invariants`, is one `interval_dp`:
 the value at an element is a sum over the elements strictly above (or
 below) it of a kernel of the interval between them times the value there,
-followed by a finishing step.  The kernel gives coefficients, read off the
-cached rows.  Each weight and each finished entry is packed into one int,
+followed by a finishing step.  A kernel depends on the interval only
+through its chi class or only through its rank gap, so it is asked once
+per class.  Each weight and each finished entry is packed into one int,
 the polynomial evaluated at a power of two wide enough for a proven bound
 on the coefficients of the sum, so a table costs one big-integer
 multiply-add per comparable pair and one exact decoding per element.
@@ -173,7 +177,12 @@ def _require_id(p, i):
 
 
 def _chi_row(p, x):
-    """chi([x, y]) as a `Poly` for every y >= x, memoized on the poset.
+    """The chi class of [x, y] for every y >= x, memoized on the poset.
+
+    A chi class is a small int: the poset interns each distinct
+    coefficient tuple of a chi([x, y]) once, in `_cache["chi_ids"]`
+    (tuple -> id) and `_cache["chi_polys"]` (id -> `Poly`), so a row maps
+    y to an int and the intervals with one chi share one `Poly`.
 
     The walk visits y in increasing rank and sorts the z >= x already seen
     into mu-classes: for each rank gap s, a dict from a value v to the id
@@ -181,18 +190,22 @@ def _chi_row(p, x):
     Coefficient rk y - rk x - s of chi([x, y]) is then
     sum_v v * |down[y] & mask|, one popcount per class, and mu(x, y) is minus
     the sum of the others."""
-    rows = p._cache.get("chi_rows")
+    cache = p._cache
+    rows = cache.get("chi_rows")
     if rows is None:
-        rows = p._cache["chi_rows"] = {}
+        rows = cache["chi_rows"] = {}
+        cache["chi_ids"] = {ONE.coeffs: 0}
+        cache["chi_polys"] = [ONE]
     row = rows.get(x)
     if row is not None:
         return row
     _require_id(p, x)
+    ids, polys = cache["chi_ids"], cache["chi_polys"]
     ranks, down = p.ranks, p.down_mask
     rx = ranks[x]
     classes = [{} for _ in range(ranks[p.top] - rx + 1)]
     classes[0][1] = 1 << x
-    row = {x: ONE}
+    row = {x: 0}
     for y in p.above[x]:  # ascending rank, so each class below rk y is complete
         d = ranks[y] - rx
         below = down[y]
@@ -208,27 +221,38 @@ def _chi_row(p, x):
         if mu:
             cls = classes[d]
             cls[mu] = cls.get(mu, 0) | 1 << y
-        row[y] = Poly(graded)
+        key = tuple(graded)
+        cid = ids.get(key)
+        if cid is None:
+            cid = ids[key] = len(polys)
+            polys.append(Poly(key))
+        row[y] = cid
     rows[x] = row
     return row
+
+
+def _chi(p, x, y):
+    """chi([x, y]) as the poset's interned `Poly`, or None when x is not
+    below y (ValueError when y is not an id)."""
+    cid = _chi_row(p, x).get(y)
+    if cid is None:
+        _require_id(p, y)
+        return None
+    return p._cache["chi_polys"][cid]
 
 
 def mobius(p, x, y):
     """Moebius number mu(x, y); 0 when x is not below y.  Ids outside the
     poset raise ValueError, checked only when the row has no entry y."""
-    chi = _chi_row(p, x).get(y)
-    if chi is None:
-        _require_id(p, y)
-        return 0
-    return chi.coeffs[0]
+    chi = _chi(p, x, y)
+    return 0 if chi is None else chi.coeffs[0]
 
 
 def interval_char_poly(p, x, y):
     """Characteristic polynomial of the interval [x, y]:
     sum_{x <= z <= y} mu(x, z) t^(rk y - rk z)."""
-    chi = _chi_row(p, x).get(y)
+    chi = _chi(p, x, y)
     if chi is None:
-        _require_id(p, y)
         raise ValueError("not an interval")
     return chi
 
@@ -237,9 +261,8 @@ def interval_chibar(p, x, y):
     """Reduced characteristic polynomial chi([x, y]) / (x - 1), memoized on
     the poset by chi's coefficients, so the intervals with one chi share one
     quotient.  By convention -1 for the one-point interval."""
-    chi = _chi_row(p, x).get(y)
+    chi = _chi(p, x, y)
     if chi is None:
-        _require_id(p, y)
         raise ValueError("not an interval")
     if x == y:
         return Poly((-1,))
@@ -293,14 +316,10 @@ def bergman_f_h(matroid, lattice=None):
     if k < 1:
         raise ValueError("Bergman complex needs rank at least 1")
     lat = lattice if lattice is not None else FlatsLattice(matroid)
-    # c[F] = x(1 + sum of c[G] over proper flats G > F): x^(j+1) in
-    # c[bottom] counts the chains of j proper nonempty flats
-    top = lat.top
-    c = interval_dp(
-        lat, "proper_chains", True,
-        lambda lo, hi: () if hi == top else (1,),
-        lambda z, s: (ONE + s).shift(1),
-    )
+    # c[F] = x(1 + sum of c[G] over proper flats G > F), where c[top] = 1
+    # gives the 1: x^(j+1) in c[bottom] counts the chains of j proper
+    # nonempty flats
+    c = interval_dp(lat, "proper_chains", True, lambda lo, hi: (1,), lambda z, s: s.shift(1), by_gap=True)
     f = Poly([c[lat.bottom].coeff(k - e) for e in range(k)])
     return f, f(X - ONE)
 
@@ -332,7 +351,7 @@ def _unpack(v, bits):
     return out
 
 
-def interval_dp(p, name, upward, kernel, finish=None):
+def interval_dp(p, name, upward, kernel, finish=None, by_gap=False):
     """Table over all elements of p, cached as `p._cache[name]`.
 
     Going up, the top gets ONE and every other z gets
@@ -340,31 +359,43 @@ def interval_dp(p, name, upward, kernel, finish=None):
     bottom gets ONE and z gets finish(z, sum over w < z of
     K(w, z) * table[w]).  So `kernel(x, y)` always sees the interval [x, y]
     in order; it returns the coefficient tuple of the interval's weight
-    K(x, y), empty for a zero weight, usually read off the cached chi rows
-    or the chibar memo.  The tuple must be hashable.  Without `finish` the
-    sum itself is stored.
+    K(x, y), empty for a zero weight.  Without `finish` the sum itself is
+    stored.
+
+    The weight may depend on [x, y] only through its class: chi([x, y]),
+    as the class id of the cached chi rows, or with `by_gap` only the rank
+    gap rk y - rk x, in which case no chi row is filled.  The kernel is
+    asked once per class, at the first pair of that class, and every later
+    pair of the class reuses its weight.
 
     Every weight and every finished entry is packed into one int, the
-    polynomial evaluated at x = 2^B, so a comparable pair costs one
-    big-integer multiply-add and each sum is decoded once, as signed
-    base-2^B digits.  Evaluation at 2^B is a ring homomorphism, so the
-    packed sum is S(2^B) exactly, and the decoding returns S when every
-    |S_k| < 2^(B - 1).  Bound: for z with N neighbours,
-    |S_k(z)| <= sum_w |K(z, w)|_1 * |table[w]|_inf <= N * max_k * max_t,
-    where max_k is the largest L1 norm of a weight packed so far and
-    max_t the largest |coefficient| of a finished entry.  B starts at 64;
-    after summing z, unless (N * max_k * max_t).bit_length() + 1 < B, B
-    doubles until it holds, every finished entry is repacked from its
-    coefficient tuple and z is summed again (calling the kernel again).
-    Packed weights live only for one call.
+    polynomial evaluated at x = 2^B, so a comparable pair costs one read
+    of its class's packed weight and one big-integer multiply-add, and
+    each sum is decoded once, as signed base-2^B digits.  Evaluation at 2^B
+    is a ring homomorphism, so the packed sum is S(2^B) exactly, and the
+    decoding returns S when every |S_k| < 2^(B - 1).  Bound: for z with N
+    neighbours, |S_k(z)| <= sum_w |K(z, w)|_1 * |table[w]|_inf
+    <= N * max_k * max_t, where max_k is the largest L1 norm of a weight
+    asked for so far and max_t the largest |coefficient| of a finished
+    entry.  B starts at 64; after summing z, unless
+    (N * max_k * max_t).bit_length() + 1 < B, B doubles until it holds,
+    every weight and finished entry is repacked from its coefficient tuple
+    and z is summed again.  Weights live only for one call.
     """
     table = p._cache.get(name)
     if table is not None:
         return table
+    ranks = p.ranks
+    if by_gap:
+        n_classes = ranks[p.top] + 1
+    else:
+        rows = [_chi_row(p, x) for x in range(p.size)]
+        n_classes = len(p._cache["chi_polys"])
+    weights = [None] * n_classes  # class -> the kernel's coefficient tuple
+    packs = [None] * n_classes  # class -> its weight at x = 2^bits
     table = [None] * p.size
     packed = [0] * p.size  # table[w] at x = 2^bits
     bits = 64
-    packs = {}  # weight tuple -> the weight at x = 2^bits
     max_k, max_t = 0, 1
     if upward:
         end, ids = p.top, reversed(p.order)
@@ -374,22 +405,28 @@ def interval_dp(p, name, upward, kernel, finish=None):
         if z == end:
             table[z], packed[z] = ONE, 1
             continue
-        ws = p.above[z] if upward else set_of(p.down_mask[z])
+        rz = ranks[z]
+        if upward:
+            ws = p.above[z]
+            cs = [ranks[w] - rz for w in ws] if by_gap else list(map(rows[z].__getitem__, ws))
+        else:
+            ws = set_of(p.down_mask[z])
+            cs = [rz - ranks[w] for w in ws] if by_gap else [rows[w][z] for w in ws]
         while True:
             acc = 0
-            for w in ws:
-                weight = kernel(z, w) if upward else kernel(w, z)
-                pw = packs.get(weight)
+            for w, c in zip(ws, cs):
+                pw = packs[c]
                 if pw is None:
-                    pw = packs[weight] = _pack(weight, bits)
+                    weight = weights[c] = kernel(z, w) if upward else kernel(w, z)
                     max_k = max(max_k, sum(map(abs, weight)))
+                    pw = packs[c] = _pack(weight, bits)
                 acc += pw * packed[w]
             need = (len(ws) * max_k * max_t).bit_length() + 1
             if need < bits:
                 break
             while need >= bits:
                 bits *= 2
-            packs.clear()
+            packs = [None if wt is None else _pack(wt, bits) for wt in weights]
             for w, val in enumerate(table):
                 if val is not None:
                     packed[w] = _pack(val.coeffs, bits)
@@ -409,8 +446,7 @@ def rank_sum(p, table):
 def _rank_gap_monomial(p):
     """Kernel x^(rk y - rk x)."""
     ranks = p.ranks
-    monomials = [(0,) * gap + (1,) for gap in range(ranks[p.top] + 1)]
-    return lambda x, y: monomials[ranks[y] - ranks[x]]
+    return lambda x, y: (0,) * (ranks[y] - ranks[x]) + (1,)
 
 
 def chow_table(p):
@@ -420,7 +456,7 @@ def chow_table(p):
     palindromic parts and take -b."""
     return interval_dp(
         p, "chow_table", True, _rank_gap_monomial(p),
-        lambda z, s: -palindromic_decompose(s)[1],
+        lambda z, s: -palindromic_decompose(s)[1], by_gap=True,
     )
 
 
@@ -434,7 +470,7 @@ def kl_table(p):
         rho = rk - p.ranks[z]
         return Poly([s.coeff(rho - j) - s.coeff(j) for j in range((rho + 1) // 2)])
 
-    return interval_dp(p, "kl_table", True, _rank_gap_monomial(p), finish)
+    return interval_dp(p, "kl_table", True, _rank_gap_monomial(p), finish, by_gap=True)
 
 
 def kls_uH_general(p):

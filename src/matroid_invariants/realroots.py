@@ -229,6 +229,14 @@ def real_rooted(p):
         gamma = gamma_vector(Poly(cs)).coeffs
         if all(c >= 0 for c in gamma):
             cs = gamma
+    return roots_all_real(cs)
+
+
+def roots_all_real(cs):
+    """True iff every complex root of the nonzero integer polynomial with
+    coefficients cs (lowest first) is real: the one-chain count of
+    `real_rooted`.  By the lemma there, a palindromic q with q(0) != 0
+    and gamma vector gamma >= 0 is real-rooted iff gamma is."""
     chain = sturm_chain(cs)
     real = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
     return real == len(chain[0]) - len(chain[-1])

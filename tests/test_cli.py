@@ -380,3 +380,27 @@ def test_sweep_timeout_stops_the_workers(capsys):
     assert time.monotonic() - t0 < 5
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: timeout exceeded\n"
+
+
+def test_sweep_peels_each_gamma_once(capsys, monkeypatch):
+    # with both checks, real-rootedness is decided on the gamma vector the
+    # gamma check already has: one peel per polynomial, two per lambda
+    from matroid_invariants import realroots
+
+    calls = []
+    for module in (cli, realroots):
+        real = module.gamma_vector
+
+        def counted(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "gamma_vector", counted)
+    argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--jobs", "1"]
+    code, data = run_json(capsys, *argv, "--certify", "gamma,real-rooted")
+    assert code == 0 and data["count"] == 15 and data["failures"] == 0
+    assert len(calls) == 2 * data["count"]
+    # real-rooted alone still peels inside real_rooted, once per polynomial
+    calls.clear()
+    code, data = run_json(capsys, *argv, "--certify", "real-rooted")
+    assert code == 0 and len(calls) == 2 * data["count"]

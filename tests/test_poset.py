@@ -660,9 +660,9 @@ def test_interval_dp_matches_the_reference_loop(small_corpus, monkeypatch):
     seen = {}
     real = poset.interval_dp
 
-    def recording(p, name, upward, kernel, finish=None):
+    def recording(p, name, upward, kernel, finish=None, by_gap=False):
         seen[name] = (upward, kernel, finish)
-        return real(p, name, upward, kernel, finish)
+        return real(p, name, upward, kernel, finish, by_gap)
 
     monkeypatch.setattr(poset, "interval_dp", recording)
     monkeypatch.setattr(invariants, "interval_dp", recording)
@@ -736,9 +736,10 @@ def test_packed_digits_round_trip_at_their_edge():
         assert poset._unpack(poset._pack([half], bits), bits) != [half]
 
 
-def test_table_kernels_ask_the_traced_names_once_per_pair(small_corpus, monkeypatch):
-    # a profiler attributes the interval layer by calls through these
-    # names, so each comparable pair of a table must make exactly one
+def test_table_kernels_ask_the_traced_names_once_per_class(small_corpus, monkeypatch):
+    # a kernel depends on an interval only through its chi class, so each
+    # chi table asks its one traced name exactly once per distinct
+    # chi([x, y]) with x < y, whatever the number of pairs
     counts = {}
 
     def count(module, name):
@@ -756,19 +757,73 @@ def test_table_kernels_ask_the_traced_names_once_per_pair(small_corpus, monkeypa
         count(invariants, name)
     tables = {
         "chow_upper": ("invariants.interval_chibar", invariants.chow_char_conv),
+        "chow_lower": ("invariants.interval_chibar", invariants.chow_incidence_inv),
         "kl_upper": ("invariants.interval_char_poly", lambda m, p: invariants._kl_upper_table(p)),
         "aug_upper_mobius": ("invariants.mobius", invariants.aug_chow_mobius_conv),
+        "aug_lower_mobius": ("invariants.mobius", invariants.aug_chow_incidence_inv),
     }
+    many = 0
     for name, m, _ in small_corpus:
         if not m.rank:
             continue
         p = lattice_of_flats(m)
+        rows = {x: poset._chi_row(p, x) for x in range(p.size)}
+        classes = {rows[x][y] for x in range(p.size) for y in p.above[x]}
         pairs = sum(len(a) for a in p.above)
+        many += len(classes) < pairs
         for table, (traced, build) in tables.items():
             counts.clear()
             build(m, p)
             assert table in p._cache
-            assert counts == {traced: pairs}, (name, table)
+            assert counts == {traced: len(classes)}, (name, table)
+        # any kernel, by chi class or by rank gap
+        for by_gap in (False, True):
+            for upward in (True, False):
+                asked = []
+
+                def kernel(x, y):
+                    asked.append((x, y))
+                    return (1,)
+
+                poset.interval_dp(p, "count-%s-%s" % (by_gap, upward), upward, kernel, by_gap=by_gap)
+                got = [p.ranks[y] - p.ranks[x] if by_gap else rows[x][y] for x, y in asked]
+                want = {p.ranks[y] - p.ranks[x] for x in range(p.size) for y in p.above[x]}
+                assert sorted(got) == sorted(want if by_gap else classes), (name, by_gap, upward)
+    assert many  # pairs really share classes
+
+
+def test_gap_tables_fill_no_chi_rows(small_corpus):
+    # the rank-gap tables never read chi, so a run of only those leaves no
+    # chi row behind
+    for name, m, _ in small_corpus:
+        if not m.rank or not m.is_loopless():
+            continue
+        p = lattice_of_flats(m)
+        invariants.chow_chains(m, p)
+        invariants.aug_chow_chains(m, p)
+        kls_uH_general(p)
+        kls_P_general(p)
+        bergman_f_h(m, p)
+        assert {"chains", "chow_table", "kl_table", "proper_chains"} <= set(p._cache), name
+        assert not {"chi_rows", "chi_ids", "chi_polys", "chibar_of_chi"} & set(p._cache), name
+
+
+def test_chi_rows_hold_interned_class_ids(small_corpus):
+    # a chi row maps y to a small int, and the poset keeps one Poly per
+    # distinct chi, shared by every interval with that chi
+    posets = [lattice_of_flats(m) for _, m, _ in small_corpus if m.rank]
+    posets += random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
+    for p in posets:
+        chis = {}
+        for x in range(p.size):
+            for y in [x] + p.above[x]:
+                chi = interval_char_poly(p, x, y)
+                assert chis.setdefault(chi.coeffs, chi) is chi, (p, x, y)
+        rows, ids, polys = (p._cache[k] for k in ("chi_rows", "chi_ids", "chi_polys"))
+        assert len(polys) == len(ids) == len(chis), p
+        assert all(type(c) is int for row in rows.values() for c in row.values()), p
+        for key, cid in ids.items():
+            assert polys[cid] is chis[key], (p, key)
 
 
 def test_chibar_is_divided_once_per_distinct_chi():
