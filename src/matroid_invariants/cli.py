@@ -5,9 +5,9 @@ whitney-inverse, sweep, hrs.  Exit codes: 0 success, 1 usage or parse
 error, 2 cross-method disagreement, 3 certification failure.  A malformed
 command line prints the usage line and argparse's message, which names the
 bad flag or choice; any other usage or parse error (a bad spec, check or
-value, an unreadable file, a spent --timeout-secs budget, an empty sweep
---certify list) prints one line `error: <message>` to stderr, from `main`
-alone.
+value, an unreadable file, a negative or NaN --timeout-secs, a spent
+--timeout-secs budget, an empty sweep --certify list) prints one line
+`error: <message>` to stderr, from `main` alone.
 
 Matroids are named by a small grammar:
 
@@ -140,9 +140,19 @@ def _emit(payload, as_json, text_lines):
 # -- invariant / crosscheck ---------------------------------------------------
 
 
+def _deadline(args):
+    """The time.monotonic() stamp at which --timeout-secs runs out, or None
+    for no budget (0, the default).  A negative or NaN budget is a usage
+    error."""
+    secs = args.timeout_secs
+    if not secs >= 0:  # NaN compares false too
+        raise SpecError("--timeout-secs must be a number of seconds >= 0, got %r" % secs)
+    return time.monotonic() + secs if secs else None
+
+
 def cmd_invariant(args):
+    deadline = _deadline(args)
     m, braid_n = parse_matroid_spec(args.spec)
-    deadline = time.monotonic() + args.timeout_secs if args.timeout_secs else None
     report = invariant_report(
         m, args.kind, args.method, braid_n=braid_n, descriptor=args.spec,
         deadline=deadline,
@@ -410,7 +420,7 @@ def cmd_sweep(args):
     jobs = args.jobs
     if jobs < 1:
         raise SpecError("--jobs must be at least 1, got %d" % jobs)
-    deadline = time.monotonic() + args.timeout_secs if args.timeout_secs else None
+    deadline = _deadline(args)
     payloads = [(k, n, lam, checks) for lam in range(lam_min, lam_max + 1)]
     results = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
@@ -483,7 +493,7 @@ def _add_common(sub, jobs=False, timeout=False):
     if jobs:
         sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
     if timeout:
-        sub.add_argument("--timeout-secs", type=float, default=0, help="soft time budget")
+        sub.add_argument("--timeout-secs", type=float, default=0, help="soft time budget in seconds, 0 for none")
 
 
 def build_parser():

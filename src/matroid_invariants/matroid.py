@@ -7,13 +7,15 @@ matroid when first needed: `cols[e]` is an int whose bit i is set when
 basis i contains e.  Growing a basis I of A greedily narrows the set S of
 bases containing I by one AND per element of A; then rk(A) = |I|, and
 f lies outside cl(A) exactly when its column meets S, so no query scans the
-bases.  Construction from an explicit bases list validates the exchange
-axiom in full; matroids produced by the combinators (dual, minors, sums,
-relaxation of a stressed subset) skip re-validation where validity is
-inherited.  One relabelling
-routine, `squeeze`, renumbers the masks of every kind of minor: the bases of
-a restriction or contraction here, and the flats of the flat-set minors of
-the deletion engines.
+bases.  A caller that already holds S may pass it to `closure` as the
+subset's span and skip the growing: the lattice build carries S from each
+flat to the covers it finds.  Construction from an explicit bases list
+validates the exchange axiom in full; matroids produced by the combinators
+(dual, minors, sums, relaxation of a stressed subset) skip re-validation
+where validity is inherited.  One relabelling routine, `squeeze`,
+renumbers the masks of every kind of minor: the bases of a restriction or
+contraction here, and the flats of the flat-set minors of the deletion
+engines.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 
 MAX_GROUND = 24
+_BITS = tuple(1 << e for e in range(MAX_GROUND))  # element e -> its mask
 
 
 class MatroidError(ValueError):
@@ -112,9 +115,8 @@ class Matroid:
         inset = self._bases_set
         cols = self._columns()
         every = (1 << len(bases)) - 1
-        bits = [1 << e for e in range(self.n)]
         for b1 in bases:
-            outside = [(bit, col) for bit, col in zip(bits, cols) if not b1 & bit]
+            outside = [(bit, col) for bit, col in zip(_BITS, cols) if not b1 & bit]
             a = b1
             while a:
                 x = a & -a
@@ -180,23 +182,26 @@ class Matroid:
         a = subset if isinstance(subset, int) else mask_of(subset)
         return self._spanning(a)[0]
 
-    def closure(self, subset):
+    def closure(self, subset, span=None):
         """Smallest flat containing the subset, as a mask.
 
         With I a basis of A and S the bases containing I, an element f lies
         outside cl(A) exactly when I + f is independent, that is, when some
         basis in S contains f.  So cl(A) is A together with every f whose
         column misses S: n ANDs of columns, no scan of the bases.
+
+        `span`, when given, is such an S for the subset: the mask over
+        basis ids of the bases containing some basis I of A.  Without it
+        I is grown greedily (`_spanning`), |A| more ANDs.  A caller that
+        knows S for a flat F and the basis I behind it gets S for F + e,
+        e outside F, as S & cols[e]: I + e is independent and spans F + e.
         """
         a = subset if isinstance(subset, int) else mask_of(subset)
-        s = self._spanning(a)[1]
-        cols = self._columns()
-        rest = self.full_mask & ~a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not cols[low.bit_length() - 1] & s:
-                a |= low
+        s = self._spanning(a)[1] if span is None else span
+        # an f in I meets S and is already in A; any other f of A misses S
+        for bit, col in zip(_BITS, self._columns()):
+            if not col & s:
+                a |= bit
         return a
 
     def loops(self):
@@ -307,7 +312,7 @@ class Matroid:
         """For each (rank-1)-set a, the mask of the elements e with a + e a
         basis; it is nonzero iff a is independent.  Needs rank at least 1."""
         bases = self._bases_set
-        bits = [1 << e for e in range(self.n)]
+        bits = _BITS[: self.n]
         for a in _subsets_of_size(self.full_mask, self.rank - 1):
             outside = 0
             for bit in bits:

@@ -19,6 +19,8 @@ once first asked for:
   over the y >= x fills the row: it sorts the z already done into
   mu-classes by rank and value, so each coefficient of chi([x, y]) is a
   few popcounts of `down_mask[y]` against class masks;
+- `rank_masks[r]`: the ids of rank r as one mask, filled with the first
+  chi row, so the covers of x are `up_mask[x] & rank_masks[rk x + 1]`;
 - `chibar_of_chi`: the reduced characteristic polynomial chi / (x - 1)
   keyed by chi's coefficient tuple, so the division runs once per distinct
   chi([x, y]) and intervals with one chi share one quotient;
@@ -36,6 +38,8 @@ multiply-add per comparable pair and one exact decoding per element.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .matroid import set_of
 from .poly import ONE, Poly, X, ZERO, exact_div_x_minus_1, palindromic_decompose
@@ -125,29 +129,44 @@ class FlatsLattice(GradedPoset):
     it takes `matroid.closure(F + e)` for an element e still to try; the
     closure is the cover of F through e, and it strips that whole cover
     from the elements still to try, so there is one `closure` call per
-    covering pair, and ranks come from the search level.  Each closure is
-    a few ANDs of the matroid's basis-incidence columns, so no basis is
-    scanned per flat.  The ranks and the covering pairs of ids then make
-    the `GradedPoset`.
+    covering pair, and ranks come from the search level.
+
+    Each closure gets its span from the search.  Let S_F be the mask of the
+    bases that contain a fixed basis I of F, with I empty and S_F all
+    bases for F = the empty flat.  For e outside F = cl(I), I + e is
+    independent and spans F + e, so S_F & cols[e], the bases containing
+    I + e, is a valid span for F + e and, since cl(F + e) has the same
+    bases as F + e, for the cover cl(F + e) too.  A cover reached from
+    several flats keeps the span of the first pair that found it; any of
+    them is valid.  So a closure is one AND of S with each of the
+    matroid's n basis-incidence columns, with no basis of F + e regrown
+    and no basis scanned.  The ranks and the covering pairs of ids then
+    make the `GradedPoset`.
     """
 
     def __init__(self, matroid):
         if not matroid.is_loopless():
             raise ValueError("the lattice of flats requires a loopless matroid")
         full = matroid.full_mask
+        cols = matroid._columns()
         levels = [[0]]
+        spans = {0: (1 << len(matroid.bases)) - 1}  # flat of this level -> its span
         covers = {}  # flat -> the flats covering it
         for r in range(matroid.rank):
-            nxt = set()
+            found = {}
             for f in levels[r]:
                 covers[f] = ups = []
+                span = spans[f]
                 rest = full & ~f
                 while rest:
-                    g = matroid.closure(f | (rest & -rest))
+                    low = rest & -rest
+                    t = span & cols[low.bit_length() - 1]
+                    g = matroid.closure(f | low, t)
                     rest &= ~g
                     ups.append(g)
-                nxt.update(ups)
-            levels.append(sorted(nxt))
+                    found.setdefault(g, t)
+            levels.append(sorted(found))
+            spans = found
         flats = [f for flats_r in levels for f in flats_r]
         index = {f: i for i, f in enumerate(flats)}
         self.matroid = matroid
@@ -189,35 +208,50 @@ def _chi_row(p, x):
     mask of the z with rk z - rk x = s and mu(x, z) = v (mu = 0 drops out).
     Coefficient rk y - rk x - s of chi([x, y]) is then
     sum_v v * |down[y] & mask|, one popcount per class, and mu(x, y) is minus
-    the sum of the others."""
+    the sum of the others.  The covers of x, the leading run of `above[x]`,
+    all have chi = t - 1 and mu = -1, so they get that class in one step
+    and their mask, `up_mask[x]` within the next rank, is the one gap-1
+    mu-class.  Every y of a higher rank finds the classes below its rank
+    complete, so the (coefficient index, v, mask) terms are listed once per
+    rank and each y runs one loop over them."""
     cache = p._cache
     rows = cache.get("chi_rows")
     if rows is None:
         rows = cache["chi_rows"] = {}
         cache["chi_ids"] = {ONE.coeffs: 0}
         cache["chi_polys"] = [ONE]
+        cache["rank_masks"] = rank_masks = [0] * (p.ranks[p.top] + 1)
+        for i, r in enumerate(p.ranks):
+            rank_masks[r] |= 1 << i
     row = rows.get(x)
     if row is not None:
         return row
     _require_id(p, x)
     ids, polys = cache["chi_ids"], cache["chi_polys"]
-    ranks, down = p.ranks, p.down_mask
+    ranks, down, above = p.ranks, p.down_mask, p.above[x]
     rx = ranks[x]
-    classes = [{} for _ in range(ranks[p.top] - rx + 1)]
-    classes[0][1] = 1 << x
-    row = {x: 0}
-    for y in p.above[x]:  # ascending rank, so each class below rk y is complete
-        d = ranks[y] - rx
+    rows[x] = row = {x: 0}
+    if not above:  # x is the top
+        return row
+    n_covers = bisect_right(above, rx + 1, key=ranks.__getitem__)
+    key = (-1, 1)
+    cid = ids.get(key)
+    if cid is None:
+        cid = ids[key] = len(polys)
+        polys.append(Poly(key))
+    row.update(dict.fromkeys(above[:n_covers], cid))
+    classes = [None, {-1: p.up_mask[x] & cache["rank_masks"][rx + 1]}]
+    d = 1
+    for y in above[n_covers:]:  # ascending rank
+        if ranks[y] - rx != d:  # classes[1..d] are complete
+            classes.append({})
+            d += 1
+            terms = [(d - s, v, mask) for s in range(1, d) for v, mask in classes[s].items()]
         below = down[y]
         graded = [0] * d + [1]
-        mu = -1
-        for s in range(1, d):
-            c = 0
-            for v, mask in classes[s].items():
-                c += v * (below & mask).bit_count()
-            graded[d - s] = c
-            mu -= c
-        graded[0] = mu
+        for i, v, mask in terms:
+            graded[i] += v * (below & mask).bit_count()
+        mu = graded[0] = -sum(graded)
         if mu:
             cls = classes[d]
             cls[mu] = cls.get(mu, 0) | 1 << y
@@ -227,7 +261,6 @@ def _chi_row(p, x):
             cid = ids[key] = len(polys)
             polys.append(Poly(key))
         row[y] = cid
-    rows[x] = row
     return row
 
 

@@ -218,6 +218,28 @@ def test_flags_only_where_read(capsys):
     assert main(sweep) == 0
 
 
+def test_timeout_secs_rejects_negative_and_nan(capsys):
+    # a negative budget used to be spent before the first method, and NaN
+    # silently disabled the budget; both are usage errors naming the flag
+    sweep = ["sweep", "sparse-paving", "--n", "6", "--k", "3", "--jobs", "1"]
+    for head in (
+        ["invariant", "uniform:3,6", "chow", "chains"],
+        ["crosscheck", "uniform:3,6", "chow"],
+        sweep,
+    ):
+        # argparse reads a bare "-inf" as a flag, so that one goes after "="
+        for value in (["--timeout-secs", "-1"], ["--timeout-secs", "-0.5"], ["--timeout-secs", "nan"],
+                      ["--timeout-secs", "NaN"], ["--timeout-secs=-inf"]):
+            assert main(head + value) == 1, (head, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: --timeout-secs "), (head, value)
+        for value in ("0", "60", "inf"):
+            assert main(head + ["--timeout-secs", value]) == 0, (head, value)
+            capsys.readouterr()
+
+
 def test_malformed_command_line_names_the_argument(capsys):
     # the top-level parser reports a subcommand's unknown flag: its message,
     # not only the top-level usage line, must name the flag

@@ -262,6 +262,49 @@ def test_closure_and_rank_match_the_basis_scan(corpus):
             assert m.closure(a) == scan_closure(m, a), (m, a)
 
 
+def test_closure_takes_the_span_of_a_covered_flat(corpus):
+    # the span the build carries: with S_F the bases containing a basis I of
+    # a flat F, S_F & cols[e] spans F + e for every e outside F.  I is drawn
+    # at random among the bases of F, not grown greedily as `closure` does
+    rng = random.Random(1806)
+    cases = [(name, m) for name, m, _ in corpus if m.is_loopless()] + stress_matroids()
+    assert {"graphic-K4", "braid:5", "vamos", "graphic-4", "sparse-paving-4"} <= {name for name, _ in cases}
+    for name, m in cases:
+        cols = m._columns()
+        every = (1 << len(m.bases)) - 1
+        lat = lattice_of_flats(m)
+        for f, r in zip(lat.flats, lat.ranks):
+            basis = rng.choice([b for b in m.bases if (b & f).bit_count() == r]) & f
+            span = every
+            for e in set_of(basis):
+                span &= cols[e]
+            for e in set_of(m.full_mask & ~f):
+                g = f | 1 << e
+                assert m.closure(g, span & cols[e]) == m.closure(g), (name, f, e)
+
+
+def test_lattice_build_closes_each_cover_once_with_a_span(small_corpus, monkeypatch):
+    # the traced closure layer sees the whole cover search: one
+    # `Matroid.closure` call per covering pair, each given a span that
+    # agrees with the span-free closure
+    calls = []
+    closure = Matroid.closure
+
+    def traced(self, subset, span=None):
+        calls.append((self, subset, span))
+        return closure(self, subset, span)
+
+    monkeypatch.setattr(Matroid, "closure", traced)
+    cases = [(name, m) for name, m, _ in small_corpus] + stress_matroids()
+    for name, m in cases:
+        calls.clear()
+        lat = lattice_of_flats(m)
+        assert len(calls) == len(lat.to_json()["covers"]), name
+        for who, subset, span in calls:
+            assert who is m and span is not None, (name, subset)
+            assert closure(m, subset, span) == closure(m, subset), (name, subset)
+
+
 def test_lattice_requires_loopless():
     with pytest.raises(ValueError):
         lattice_of_flats(Matroid.from_bases(2, [{0}]))
@@ -810,15 +853,27 @@ def test_gap_tables_fill_no_chi_rows(small_corpus):
 
 def test_chi_rows_hold_interned_class_ids(small_corpus):
     # a chi row maps y to a small int, and the poset keeps one Poly per
-    # distinct chi, shared by every interval with that chi
+    # distinct chi, shared by every interval with that chi.  The posets
+    # include ids out of rank order and the one-point poset, which has no
+    # interval with chi = t - 1; on the small ones each class is checked
+    # against the zeta-matrix oracle
     posets = [lattice_of_flats(m) for _, m, _ in small_corpus if m.rank]
     posets += random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
+    posets += [q for _, q, _ in relabelled_cases()] + [GradedPoset([0], [])]
+    assert any(q.order != list(range(q.size)) for q in posets)
     for p in posets:
+        inv = brute_mobius_matrix(p) if p.size <= 40 else None
         chis = {}
         for x in range(p.size):
             for y in [x] + p.above[x]:
                 chi = interval_char_poly(p, x, y)
                 assert chis.setdefault(chi.coeffs, chi) is chi, (p, x, y)
+                if inv is not None:
+                    expect = [0] * (p.ranks[y] - p.ranks[x] + 1)
+                    for z in [x] + p.above[x]:
+                        if p.leq(z, y):
+                            expect[p.ranks[y] - p.ranks[z]] += int(inv[x][z])
+                    assert chi == Poly(expect), (p, x, y)
         rows, ids, polys = (p._cache[k] for k in ("chi_rows", "chi_ids", "chi_polys"))
         assert len(polys) == len(ids) == len(chis), p
         assert all(type(c) is int for row in rows.values() for c in row.values()), p
