@@ -375,7 +375,17 @@ class Matroid:
 
     @classmethod
     def from_json(cls, data):
-        return cls.from_bases(data["n"], data["bases"])
+        """The inverse of `to_json`; input of another shape raises `ValueError`."""
+        if not isinstance(data, dict) or not {"n", "bases"} <= data.keys():
+            raise ValueError('a matroid needs a JSON object with keys "n" and "bases"')
+        n, bases = data["n"], data["bases"]
+        if type(n) is not int or not 0 <= n <= MAX_GROUND:
+            raise ValueError('"n" must be an integer between 0 and %d' % MAX_GROUND)
+        if not isinstance(bases, list) or not all(
+            isinstance(b, list) and all(type(e) is int and 0 <= e < n for e in b) for b in bases
+        ):
+            raise ValueError('"bases" must be a list of lists of elements 0..n-1')
+        return cls.from_bases(n, bases)
 
 
 # -- constructors -----------------------------------------------------------

@@ -21,9 +21,6 @@ once first asked for:
   few popcounts of `down_mask[y]` against class masks;
 - `rank_masks[r]`: the ids of rank r as one mask, filled with the first
   chi row, so the covers of x are `up_mask[x] & rank_masks[rk x + 1]`;
-- `chibar_of_chi`: the reduced characteristic polynomial chi / (x - 1)
-  keyed by chi's coefficient tuple, so the division runs once per distinct
-  chi([x, y]) and intervals with one chi share one quotient;
 - one table per `interval_dp` name.
 
 Every per-interval table, here and in `invariants`, is one `interval_dp`:
@@ -106,7 +103,17 @@ class GradedPoset:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["rank"], data["covers"])
+        """The inverse of `to_json`; input of another shape raises `ValueError`."""
+        if not isinstance(data, dict) or not {"rank", "covers"} <= data.keys():
+            raise ValueError('a poset needs a JSON object with keys "rank" and "covers"')
+        ranks, covers = data["rank"], data["covers"]
+        if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
+            raise ValueError('"rank" must be a list of integers')
+        if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2 and all(type(i) is int for i in c) for c in covers
+        ):
+            raise ValueError('"covers" must be a list of [lo, hi] integer pairs')
+        return cls(ranks, covers)
 
     def to_json(self):
         covers = []
@@ -291,19 +298,14 @@ def interval_char_poly(p, x, y):
 
 
 def interval_chibar(p, x, y):
-    """Reduced characteristic polynomial chi([x, y]) / (x - 1), memoized on
-    the poset by chi's coefficients, so the intervals with one chi share one
-    quotient.  By convention -1 for the one-point interval."""
+    """Reduced characteristic polynomial chi([x, y]) / (x - 1).  By
+    convention -1 for the one-point interval."""
     chi = _chi(p, x, y)
     if chi is None:
         raise ValueError("not an interval")
     if x == y:
         return Poly((-1,))
-    memo = p._cache.setdefault("chibar_of_chi", {})
-    val = memo.get(chi.coeffs)
-    if val is None:
-        val = memo[chi.coeffs] = exact_div_x_minus_1(chi)
-    return val
+    return exact_div_x_minus_1(chi)
 
 
 # -- matroid-level poset invariants ------------------------------------------

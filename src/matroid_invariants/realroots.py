@@ -1,8 +1,8 @@
 """Exact real-root certification: Sturm sequences, isolation, interlacing.
 
 Everything here runs on integers and `fractions.Fraction`; there is no
-floating point on any certification path.  Sturm chains, gcds and squarefree
-parts are computed in Z[x] alone: each remainder is an integer
+floating point on any certification path.  Sturm chains, and with them
+squarefree parts, are computed in Z[x] alone: each remainder is an integer
 pseudo-remainder, scaled at every step by a positive factor of the divisor's
 leading coefficient, and reduced to its primitive part.  Positive scaling
 keeps the sign structure, and a primitive part is the same whatever
@@ -10,6 +10,11 @@ positive multiple it came from, so every chain entry is the primitive part
 of the remainder over Q.  Rationals appear only as evaluation points (root
 isolation and interlacing), and the sign of a polynomial at a / b is read
 off an integer sum, with no `Fraction` arithmetic per coefficient.
+
+Interlacing counts the roots of a real-rooted polynomial up to a point,
+with multiplicity, by Descartes' rule of signs on its Taylor expansion at
+that point (`_descartes_counter`), so the Sturm chain is the module's one
+Euclidean loop.
 
 A palindromic polynomial with a nonnegative gamma vector is decided on its
 gamma polynomial, of half the degree (Gal 2005; Branden 2004): if
@@ -110,22 +115,17 @@ def _exact_quotient(a, b):
     return tuple(quo)
 
 
-def poly_gcd(a, b):
-    """Gcd of two integer polynomials, primitive with positive leading coeff."""
-    fa, fb = _primitive(_int_coeffs(a)), _primitive(_int_coeffs(b))
-    while fb:
-        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
-    if fa and fa[-1] < 0:
-        fa = tuple(-c for c in fa)
-    return fa
-
-
 def squarefree_part(p):
-    """p / gcd(p, p') as a primitive integer polynomial (same root set)."""
+    """p / gcd(p, p') as a primitive integer polynomial (same root set).
+
+    The gcd is the last entry of the Sturm chain, taken with a positive
+    leading coefficient so that the quotient has the sign of p."""
     cs = _primitive(_int_coeffs(p))
     if len(cs) <= 1:
         return cs
-    g = poly_gcd(cs, _derivative(cs))
+    g = sturm_chain(cs)[-1]
+    if g[-1] < 0:
+        g = tuple(-c for c in g)
     return _primitive(_exact_quotient(cs, g))
 
 
@@ -277,28 +277,22 @@ def isolate_real_roots(p):
     return out
 
 
-def _multiplicity_layers(p):
-    """Chain p, gcd(p, p'), gcd(of that, its derivative), ...
+def _descartes_counter(p):
+    """x -> the number of roots <= x of the real-rooted polynomial p,
+    counted with multiplicity, at any rational x.
 
-    Counting distinct roots of every layer in an interval counts the roots
-    of p there with multiplicity.
+    With d = deg p and V(x) the sign changes, zeros dropped, in
+    p(x), p'(x), ..., p^(d)(x), the count is d - V(x).  Proof: the roots of
+    p(x + t) = sum_k p^(k)(x) t^k / k! in t are those of p shifted by -x,
+    so all real, and its coefficients have the signs of the p^(k)(x).
+    Descartes' rule of signs is exact for a real-rooted polynomial: its
+    positive roots, with multiplicity, number its sign changes.  So V(x)
+    counts the roots of p above x, and the other d - V(x) are <= x.
     """
-    layers = []
-    cur = _primitive(_int_coeffs(p))
-    while len(cur) > 1:
-        layers.append(cur)
-        cur = poly_gcd(cur, _derivative(cur))
-    return layers
-
-
-def _root_counter(p):
-    layer_chains = [sturm_chain(c) for c in _multiplicity_layers(p)]
-    base = [_variations_at_inf(ch, False) for ch in layer_chains]
-
-    def roots_leq(x):
-        return sum(b - _variations_at(ch, x) for b, ch in zip(base, layer_chains))
-
-    return roots_leq
+    derivs = [p.coeffs]
+    while len(derivs[-1]) > 1:
+        derivs.append(_derivative(derivs[-1]))
+    return lambda x: p.degree - _variations_at(derivs, x)
 
 
 def interlaces(p, q):
@@ -317,8 +311,8 @@ def interlaces(p, q):
         return False
 
     # the counts change only at roots of p * q; left of them both are 0
-    count_p = _root_counter(p)
-    count_q = _root_counter(q)
+    count_p = _descartes_counter(p)
+    count_q = _descartes_counter(q)
     for _, s in isolate_real_roots(p * q):
         np_, nq = count_p(s), count_q(s)
         if not (np_ <= nq <= np_ + 1):

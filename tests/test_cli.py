@@ -8,6 +8,7 @@ from matroid_invariants import cli, invariants, poset
 from matroid_invariants.cli import main, parse_matroid_spec
 from matroid_invariants.matroid import Matroid, boolean, complete_graph, uniform, vamos
 from matroid_invariants.poly import ONE, Poly, binomial_eulerian
+from matroid_invariants.poset import GradedPoset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 POSET_FILE = os.path.join(FIXTURES, "non_gamma_positive.poset.json")
@@ -61,6 +62,48 @@ def test_parse_matroid_file(tmp_path):
     path.write_text(json.dumps(uniform(2, 4).to_json()))
     m, _ = parse_matroid_spec("file:%s" % path)
     assert m == uniform(2, 4)
+
+
+def test_parse_matroid_spec_rejects_bad_specs():
+    for spec in ("relax(uniform:2,4)", "foo:1", "uniform:a,b", "uniform:3"):
+        with pytest.raises(cli.SpecError):
+            parse_matroid_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "blob, poset_flag",
+    [
+        ({"n": 3}, False),
+        ({"n": 3, "bases": [["a"]]}, False),
+        ({"rank": [0, 1]}, True),
+        ([[0, 1]], True),
+    ],
+)
+def test_malformed_json_files_print_one_error_line(tmp_path, capsys, blob, poset_flag):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    argv = ["certify", "file:%s" % path, "gamma"] + (["--poset"] if poset_flag else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_json_shapes_are_checked():
+    for blob in (
+        None, {"n": True, "bases": [[]]}, {"n": 25, "bases": [[]]}, {"n": -1, "bases": [[]]},
+        {"n": 2, "bases": [[2]]}, {"n": 2, "bases": [[-1]]}, {"n": 2, "bases": [0]}, {"n": 2, "bases": "01"},
+    ):
+        with pytest.raises(ValueError):
+            Matroid.from_json(blob)
+    for blob in (
+        {"covers": []}, {"rank": [0, 1.5], "covers": []}, {"rank": [0, 1], "covers": [[0, 1, 1]]},
+        {"rank": [0, 1], "covers": [[0, "1"]]}, {"rank": "01", "covers": []}, {"rank": [0, 1], "covers": 1},
+    ):
+        with pytest.raises(ValueError):
+            GradedPoset.from_json(blob)
+    assert GradedPoset.from_json({"rank": [0, 1], "covers": [[0, 1]]}).size == 2
 
 
 def test_matroid_json_round_trip_bytes():
@@ -165,6 +208,13 @@ def test_certify_poset_counterexample(capsys):
     gammas = {e["name"]: e["gamma"] for e in data["checks"]["gamma"]["entries"]}
     assert gammas["chow"] == ["1", "3", "-1"]
     assert data["ok"] is False
+
+
+def test_certify_rejects_a_poset_spec_without_file_and_loops(capsys):
+    for argv in (["certify", "uniform:2,3", "gamma", "--poset"], ["certify", "uniform:0,2", "gamma"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_certify_unknown_check(capsys):
@@ -297,6 +347,17 @@ def test_hrs_command(capsys):
     assert len(data["cases"]) == 21
 
 
+def test_hrs_command_reports_a_failure(capsys, monkeypatch):
+    def fail(k, n):
+        raise RuntimeError("identity fails at (%d, %d)" % (k, n))
+
+    monkeypatch.setattr(cli, "hrs_identity", fail)
+    code, data = run_json(capsys, "hrs", "--max-n", "2")
+    assert code == 3 and data["ok"] is False
+    assert [c["ok"] for c in data["cases"]] == [False] * 3
+    assert data["cases"][0]["error"] == "identity fails at (1, 1)"
+
+
 # -- sweep ------------------------------------------------------------------------------
 
 
@@ -365,6 +426,11 @@ def test_sweep_reports_failures(capsys, monkeypatch):
 def test_sweep_invalid_range(capsys):
     assert main(["sweep", "sparse-paving", "--n", "8", "--k", "4", "--lambda-min", "5", "--lambda-max", "2"]) == 1
     assert main(["sweep", "unknown-family", "--n", "8", "--k", "4"]) == 1
+
+
+def test_sweep_rejects_k_above_n(capsys):
+    assert main(["sweep", "sparse-paving", "--n", "3", "--k", "5"]) == 1
+    assert capsys.readouterr().err == "error: need 1 <= k <= n\n"
 
 
 def test_sweep_rejects_unknown_checks(capsys):

@@ -447,6 +447,18 @@ def test_certify_dominance():
     assert chow_uniform(3, 6) == Poly([1, 16, 1])
 
 
+def test_certificates_reject_loops():
+    for certify in (certify_gamma, certify_dominance):
+        with pytest.raises(ValueError, match="loopless"):
+            certify(uniform(0, 2))
+
+
+def test_gamma_entry_of_a_non_palindromic_polynomial():
+    rep = invariants.GammaReport([invariants._gamma_entry("chow", Poly([1, 2]), 1)])
+    assert not rep.ok
+    assert rep.to_json() == {"ok": False, "entries": [{"name": "chow", "poly": ["1", "2"], "gamma": None, "ok": False}]}
+
+
 def test_hrs_identity():
     hrs_identity(3, 5)
     hrs_identity(4, 8)

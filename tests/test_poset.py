@@ -848,7 +848,7 @@ def test_gap_tables_fill_no_chi_rows(small_corpus):
         kls_P_general(p)
         bergman_f_h(m, p)
         assert {"chains", "chow_table", "kl_table", "proper_chains"} <= set(p._cache), name
-        assert not {"chi_rows", "chi_ids", "chi_polys", "chibar_of_chi"} & set(p._cache), name
+        assert not {"chi_rows", "chi_ids", "chi_polys"} & set(p._cache), name
 
 
 def test_chi_rows_hold_interned_class_ids(small_corpus):
@@ -879,19 +879,3 @@ def test_chi_rows_hold_interned_class_ids(small_corpus):
         assert all(type(c) is int for row in rows.values() for c in row.values()), p
         for key, cid in ids.items():
             assert polys[cid] is chis[key], (p, key)
-
-
-def test_chibar_is_divided_once_per_distinct_chi():
-    # the chibar memo holds one quotient per distinct chi([x, y]), x < y,
-    # and every pair with that chi gets the same object
-    for m in (uniform(5, 10), equal_tutte_pair()[0]):
-        p = lattice_of_flats(m)
-        invariants.chow_char_conv(m, p)
-        invariants.chow_incidence_inv(m, p)
-        memo = p._cache["chibar_of_chi"]
-        pairs = [(x, y) for x in range(p.size) for y in p.above[x]]
-        chis = {interval_char_poly(p, x, y).coeffs for x, y in pairs}
-        assert set(memo) == chis, m
-        for x, y in pairs:
-            assert interval_chibar(p, x, y) is memo[interval_char_poly(p, x, y).coeffs], (m, x, y)
-        assert len(memo) < len(pairs), m  # some pairs really share a chi
