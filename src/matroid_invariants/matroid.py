@@ -385,6 +385,9 @@ class Matroid:
             isinstance(b, list) and all(type(e) is int and 0 <= e < n for e in b) for b in bases
         ):
             raise ValueError('"bases" must be a list of lists of elements 0..n-1')
+        for b in bases:
+            if len(set(b)) != len(b):
+                raise ValueError("basis %s repeats an element" % b)
         return cls.from_bases(n, bases)
 
 
@@ -421,32 +424,31 @@ def vamos():
 
 
 def complete_graph(m):
-    """Graphic matroid of the complete graph on m vertices (spanning trees)."""
+    """Graphic matroid of the complete graph on m vertices (spanning trees).
+
+    The trees are grown edge by edge in index order, each edge kept only
+    when it joins two components of the forest so far, so no edge set
+    with a cycle is ever tested or extended."""
     if m < 1:
         raise ValueError("need at least one vertex")
     edges = list(combinations(range(m), 2))
     if len(edges) > MAX_GROUND:
         raise ValueError("too many edges for the ground-set cap")
     bases = []
-    for tree in combinations(range(len(edges)), m - 1):
-        parent = list(range(m))
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        ok = True
-        for i in tree:
+    def grow(start, comp, tree, size):
+        # comp[v] labels v's component in the forest `tree` of `size` edges;
+        # an edge inside one component would close a cycle, so it is skipped
+        if size == m - 1:
+            bases.append(tree)
+            return
+        for i in range(start, len(edges) - (m - 2 - size)):
             u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            bases.append(mask_of(tree))
+            cu, cv = comp[u], comp[v]
+            if cu != cv:
+                grow(i + 1, [cu if c == cv else c for c in comp], tree | 1 << i, size + 1)
+
+    grow(0, list(range(m)), 0, 0)
     return Matroid(len(edges), bases, validate=False)
 
 

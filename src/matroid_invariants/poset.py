@@ -15,10 +15,14 @@ once first asked for:
 - `chi_ids` and `chi_polys`: each distinct chi([x, y]) interned once,
   its coefficient tuple -> a small int class id -> its `Poly`, whose
   constant term is mu(x, y);
-- `chi_rows[x]`: the class id of chi([x, y]) for every y >= x.  One walk
-  over the y >= x fills the row: it sorts the z already done into
-  mu-classes by rank and value, so each coefficient of chi([x, y]) is a
-  few popcounts of `down_mask[y]` against class masks;
+- `chi_rows[x]`: a list aligned with `above[x]`, the class id of
+  chi([x, y]) for each y in it.  One walk over the y > x fills the row:
+  it sorts the z already done into mu-classes by rank and value, so each
+  coefficient of chi([x, y]) is a few popcounts of `down_mask[y]` against
+  class masks.  A lookup finds y in `above[x]` by bisection on (rank, id);
+- `chi_below`: the transpose of the rows, for the downward tables: for
+  every z, the ids below z in (rank, id) order and the class of each
+  [w, z];
 - `rank_masks[r]`: the ids of rank r as one mask, filled with the first
   chi row, so the covers of x are `up_mask[x] & rank_masks[rk x + 1]`;
 - one table per `interval_dp` name.
@@ -36,7 +40,7 @@ multiply-add per comparable pair and one exact decoding per element.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 
 from .matroid import set_of
 from .poly import ONE, Poly, X, ZERO, exact_div_x_minus_1, palindromic_decompose
@@ -203,12 +207,14 @@ def _require_id(p, i):
 
 
 def _chi_row(p, x):
-    """The chi class of [x, y] for every y >= x, memoized on the poset.
+    """The chi class of [x, y] for every y in `above[x]`, as a list aligned
+    with it, memoized on the poset.
 
     A chi class is a small int: the poset interns each distinct
     coefficient tuple of a chi([x, y]) once, in `_cache["chi_ids"]`
-    (tuple -> id) and `_cache["chi_polys"]` (id -> `Poly`), so a row maps
-    y to an int and the intervals with one chi share one `Poly`.
+    (tuple -> id) and `_cache["chi_polys"]` (id -> `Poly`), so a row is a
+    list of ints and the intervals with one chi share one `Poly`.  Class 0
+    is chi = 1, that of [x, x], which the row leaves out.
 
     The walk visits y in increasing rank and sorts the z >= x already seen
     into mu-classes: for each rank gap s, a dict from a value v to the id
@@ -237,17 +243,18 @@ def _chi_row(p, x):
     ids, polys = cache["chi_ids"], cache["chi_polys"]
     ranks, down, above = p.ranks, p.down_mask, p.above[x]
     rx = ranks[x]
-    rows[x] = row = {x: 0}
+    rows[x] = row = []
     if not above:  # x is the top
         return row
-    n_covers = bisect_right(above, rx + 1, key=ranks.__getitem__)
+    covers = p.up_mask[x] & cache["rank_masks"][rx + 1]
     key = (-1, 1)
     cid = ids.get(key)
     if cid is None:
         cid = ids[key] = len(polys)
         polys.append(Poly(key))
-    row.update(dict.fromkeys(above[:n_covers], cid))
-    classes = [None, {-1: p.up_mask[x] & cache["rank_masks"][rx + 1]}]
+    n_covers = covers.bit_count()
+    row += [cid] * n_covers
+    classes = [None, {-1: covers}]
     d = 1
     for y in above[n_covers:]:  # ascending rank
         if ranks[y] - rx != d:  # classes[1..d] are complete
@@ -267,23 +274,45 @@ def _chi_row(p, x):
         if cid is None:
             cid = ids[key] = len(polys)
             polys.append(Poly(key))
-        row[y] = cid
+        row.append(cid)
     return row
+
+
+def _chi_below(p):
+    """(below, cols): below[z] lists the ids strictly below z in (rank, id)
+    order and cols[z] the chi class of [w, z] for each w in below[z].  One
+    pass over the chi rows, by rank, transposes them, on first use; the
+    pair is cached."""
+    got = p._cache.get("chi_below")
+    if got is None:
+        below = [[] for _ in range(p.size)]
+        cols = [[] for _ in range(p.size)]
+        for w in p.order:
+            for y, c in zip(p.above[w], _chi_row(p, w)):
+                below[y].append(w)
+                cols[y].append(c)
+        got = p._cache["chi_below"] = below, cols
+    return got
 
 
 def _chi(p, x, y):
     """chi([x, y]) as the poset's interned `Poly`, or None when x is not
-    below y (ValueError when y is not an id)."""
-    cid = _chi_row(p, x).get(y)
-    if cid is None:
-        _require_id(p, y)
+    below y.  y is found in `above[x]` by bisection on (rank, id)."""
+    _require_id(p, y)
+    row = _chi_row(p, x)
+    polys = p._cache["chi_polys"]
+    if x == y:
+        return polys[0]
+    if not p.up_mask[x] >> y & 1:
         return None
-    return p._cache["chi_polys"][cid]
+    ranks = p.ranks
+    i = bisect_left(p.above[x], (ranks[y], y), key=lambda j: (ranks[j], j))
+    return polys[row[i]]
 
 
 def mobius(p, x, y):
     """Moebius number mu(x, y); 0 when x is not below y.  Ids outside the
-    poset raise ValueError, checked only when the row has no entry y."""
+    poset raise ValueError."""
     chi = _chi(p, x, y)
     return 0 if chi is None else chi.coeffs[0]
 
@@ -399,9 +428,12 @@ def interval_dp(p, name, upward, kernel, finish=None, by_gap=False):
 
     The weight may depend on [x, y] only through its class: chi([x, y]),
     as the class id of the cached chi rows, or with `by_gap` only the rank
-    gap rk y - rk x, in which case no chi row is filled.  The kernel is
-    asked once per class, at the first pair of that class, and every later
-    pair of the class reuses its weight.
+    gap rk y - rk x.  Going up, an element's neighbours are `above[z]` and
+    their chi classes the row of z as it is, with no lookup per pair, and
+    a gap table fills no chi row.  Going down, both come from the one
+    cached transpose of the chi rows (`_chi_below`), so no table decodes
+    `down_mask[z]`.  The kernel is asked once per class, at the first pair
+    of that class, and every later pair of the class reuses its weight.
 
     Every weight and every finished entry is packed into one int, the
     polynomial evaluated at x = 2^B, so a comparable pair costs one read
@@ -421,32 +453,29 @@ def interval_dp(p, name, upward, kernel, finish=None, by_gap=False):
     if table is not None:
         return table
     ranks = p.ranks
-    if by_gap:
-        n_classes = ranks[p.top] + 1
+    if upward:
+        end, ids, neighbours = p.top, reversed(p.order), p.above
+        classes = None if by_gap else [_chi_row(p, x) for x in range(p.size)]
     else:
-        rows = [_chi_row(p, x) for x in range(p.size)]
-        n_classes = len(p._cache["chi_polys"])
+        end, ids = p.bottom, p.order
+        neighbours, classes = _chi_below(p)
+    n_classes = ranks[p.top] + 1 if by_gap else len(p._cache["chi_polys"])
     weights = [None] * n_classes  # class -> the kernel's coefficient tuple
     packs = [None] * n_classes  # class -> its weight at x = 2^bits
     table = [None] * p.size
     packed = [0] * p.size  # table[w] at x = 2^bits
     bits = 64
     max_k, max_t = 0, 1
-    if upward:
-        end, ids = p.top, reversed(p.order)
-    else:
-        end, ids = p.bottom, p.order
     for z in ids:
         if z == end:
             table[z], packed[z] = ONE, 1
             continue
-        rz = ranks[z]
-        if upward:
-            ws = p.above[z]
-            cs = [ranks[w] - rz for w in ws] if by_gap else list(map(rows[z].__getitem__, ws))
+        ws = neighbours[z]
+        if by_gap:
+            rz = ranks[z]
+            cs = [ranks[w] - rz for w in ws] if upward else [rz - ranks[w] for w in ws]
         else:
-            ws = set_of(p.down_mask[z])
-            cs = [rz - ranks[w] for w in ws] if by_gap else [rows[w][z] for w in ws]
+            cs = classes[z]
         while True:
             acc = 0
             for w, c in zip(ws, cs):

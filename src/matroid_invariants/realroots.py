@@ -116,17 +116,28 @@ def _exact_quotient(a, b):
 
 
 def squarefree_part(p):
-    """p / gcd(p, p') as a primitive integer polynomial (same root set).
+    """p / gcd(p, p') as a primitive integer polynomial (same root set)."""
+    return _squarefree_with_chain(p)[0]
 
-    The gcd is the last entry of the Sturm chain, taken with a positive
-    leading coefficient so that the quotient has the sign of p."""
+
+def _squarefree_with_chain(p):
+    """(q, chain): q = squarefree_part(p), and chain the Sturm chain of q
+    when it came for free, else None.
+
+    The gcd is the last entry of the Sturm chain of p, taken with a
+    positive leading coefficient so that the quotient has the sign of p.
+    When it is a constant, p is squarefree, q is p's primitive part and
+    that chain is q's."""
     cs = _primitive(_int_coeffs(p))
     if len(cs) <= 1:
-        return cs
-    g = sturm_chain(cs)[-1]
+        return cs, None
+    chain = sturm_chain(cs)
+    g = chain[-1]
+    if len(g) == 1:
+        return cs, chain
     if g[-1] < 0:
         g = tuple(-c for c in g)
-    return _primitive(_exact_quotient(cs, g))
+    return _primitive(_exact_quotient(cs, g)), None
 
 
 def sturm_chain(coeffs):
@@ -181,10 +192,10 @@ def count_distinct_real_roots(p, lo=None, hi=None):
     The chain is that of the squarefree part, so an endpoint may be a root,
     of any multiplicity.  Bounds are read exactly as `Fraction`s.
     """
-    cs = squarefree_part(p)
+    cs, chain = _squarefree_with_chain(p)
     if not cs:
         raise ValueError("the zero polynomial has every number as a root")
-    chain = sturm_chain(cs)
+    chain = chain or sturm_chain(cs)
     va = _variations_at_inf(chain, False) if lo is None else _variations_at(chain, Fraction(lo))
     vb = _variations_at_inf(chain, True) if hi is None else _variations_at(chain, Fraction(hi))
     return va - vb
@@ -248,10 +259,10 @@ def isolate_real_roots(p):
     Interval endpoints are never roots.  Input need not be squarefree; the
     isolation runs on the squarefree part.
     """
-    q = squarefree_part(p)
+    q, chain = _squarefree_with_chain(p)
     if len(q) <= 1:
         return []
-    chain = sturm_chain(q)
+    chain = chain or sturm_chain(q)
     bound = cauchy_bound(q)
 
     def count(a, b):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 
 import pytest
@@ -77,6 +78,7 @@ def test_parse_matroid_spec_rejects_bad_specs():
         ({"n": 3, "bases": [["a"]]}, False),
         ({"rank": [0, 1]}, True),
         ([[0, 1]], True),
+        ({"n": 2, "bases": [[0, 0], [1, 1]]}, False),
     ],
 )
 def test_malformed_json_files_print_one_error_line(tmp_path, capsys, blob, poset_flag):
@@ -97,6 +99,10 @@ def test_json_shapes_are_checked():
     ):
         with pytest.raises(ValueError):
             Matroid.from_json(blob)
+    # a repeated element would be dropped by the bit mask, loading U(1,2)
+    for bases, bad in (([[0, 0], [1, 1]], "[0, 0]"), ([[0, 1], [1, 2, 2]], "[1, 2, 2]")):
+        with pytest.raises(ValueError, match=r"^basis %s repeats an element$" % re.escape(bad)):
+            Matroid.from_json({"n": 3, "bases": bases})
     for blob in (
         {"covers": []}, {"rank": [0, 1.5], "covers": []}, {"rank": [0, 1], "covers": [[0, 1, 1]]},
         {"rank": [0, 1], "covers": [[0, "1"]]}, {"rank": "01", "covers": []}, {"rank": [0, 1], "covers": 1},

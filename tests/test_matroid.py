@@ -195,12 +195,37 @@ def test_direct_sum_and_coloop():
     assert boolean(2) == uniform(1, 1).direct_sum(uniform(1, 1))
 
 
+def brute_spanning_trees(m):
+    """Every (m - 1)-subset of the edges of K_m closed by a fresh
+    union-find and kept when it has no cycle: the reference enumeration."""
+    edges = list(combinations(range(m), 2))
+    trees = []
+    for tree in combinations(range(len(edges)), m - 1):
+        parent = list(range(m))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for i in tree:
+            ru, rv = find(edges[i][0]), find(edges[i][1])
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            trees.append(mask_of(tree))
+    return tuple(sorted(trees))
+
+
 def test_complete_graph():
-    k4 = complete_graph(4)
-    assert k4.n == 6 and k4.rank == 3
-    assert len(k4.bases) == 16  # Cayley: 4^2 spanning trees
     assert complete_graph(1) == empty_matroid()
     assert complete_graph(3) == uniform(2, 3)
+    for m in range(1, 8):
+        k = complete_graph(m)
+        assert k.bases == brute_spanning_trees(m), m
+        assert len(k.bases) == max(1, m ** (m - 2)), m  # Cayley; K1 has the empty tree
+        assert k.rank == m - 1 and k.n == m * (m - 1) // 2
 
 
 def test_uniform_flats_against_closure_oracle():

@@ -810,8 +810,9 @@ def test_table_kernels_ask_the_traced_names_once_per_class(small_corpus, monkeyp
         if not m.rank:
             continue
         p = lattice_of_flats(m)
-        rows = {x: poset._chi_row(p, x) for x in range(p.size)}
-        classes = {rows[x][y] for x in range(p.size) for y in p.above[x]}
+        # a row lists the class of [x, y] for each y in above[x], in order
+        cls = {(x, y): c for x in range(p.size) for y, c in zip(p.above[x], poset._chi_row(p, x))}
+        classes = set(cls.values())
         pairs = sum(len(a) for a in p.above)
         many += len(classes) < pairs
         for table, (traced, build) in tables.items():
@@ -829,7 +830,7 @@ def test_table_kernels_ask_the_traced_names_once_per_class(small_corpus, monkeyp
                     return (1,)
 
                 poset.interval_dp(p, "count-%s-%s" % (by_gap, upward), upward, kernel, by_gap=by_gap)
-                got = [p.ranks[y] - p.ranks[x] if by_gap else rows[x][y] for x, y in asked]
+                got = [p.ranks[y] - p.ranks[x] if by_gap else cls[x, y] for x, y in asked]
                 want = {p.ranks[y] - p.ranks[x] for x in range(p.size) for y in p.above[x]}
                 assert sorted(got) == sorted(want if by_gap else classes), (name, by_gap, upward)
     assert many  # pairs really share classes
@@ -851,17 +852,23 @@ def test_gap_tables_fill_no_chi_rows(small_corpus):
         assert not {"chi_rows", "chi_ids", "chi_polys"} & set(p._cache), name
 
 
-def test_chi_rows_hold_interned_class_ids(small_corpus):
-    # a chi row maps y to a small int, and the poset keeps one Poly per
-    # distinct chi, shared by every interval with that chi.  The posets
-    # include ids out of rank order and the one-point poset, which has no
-    # interval with chi = t - 1; on the small ones each class is checked
-    # against the zeta-matrix oracle
+def row_test_posets(small_corpus):
+    """Lattices of the small corpus, random posets, their relabelled
+    copies (ids out of rank order), `COUNTEREXAMPLE` and the one-point
+    poset, which has no interval with chi = t - 1."""
     posets = [lattice_of_flats(m) for _, m, _ in small_corpus if m.rank]
     posets += random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
     posets += [q for _, q, _ in relabelled_cases()] + [GradedPoset([0], [])]
     assert any(q.order != list(range(q.size)) for q in posets)
-    for p in posets:
+    return posets
+
+
+def test_chi_rows_hold_interned_class_ids(small_corpus):
+    # a chi row lists a small int for each y in above[x], and the poset
+    # keeps one Poly per distinct chi, shared by every interval with that
+    # chi; on the small posets each class is checked against the
+    # zeta-matrix oracle
+    for p in row_test_posets(small_corpus):
         inv = brute_mobius_matrix(p) if p.size <= 40 else None
         chis = {}
         for x in range(p.size):
@@ -876,6 +883,36 @@ def test_chi_rows_hold_interned_class_ids(small_corpus):
                     assert chi == Poly(expect), (p, x, y)
         rows, ids, polys = (p._cache[k] for k in ("chi_rows", "chi_ids", "chi_polys"))
         assert len(polys) == len(ids) == len(chis), p
-        assert all(type(c) is int for row in rows.values() for c in row.values()), p
+        assert sorted(rows) == list(range(p.size)), p
+        for x, row in rows.items():
+            assert len(row) == len(p.above[x]) and all(type(c) is int for c in row), (p, x)
+            for y, c in zip(p.above[x], row):
+                assert polys[c] is interval_char_poly(p, x, y), (p, x, y)
         for key, cid in ids.items():
             assert polys[cid] is chis[key], (p, key)
+
+
+def test_chi_transpose_matches_the_rows(small_corpus):
+    # below[z] lists the w < z in (rank, id) order and cols[z] the class
+    # of each [w, z]: the rows read column by column.  Lookups find
+    # y by bisection in above[x], so an incomparable pair and an id
+    # outside the poset still answer as before
+    for p in row_test_posets(small_corpus):
+        below, cols = poset._chi_below(p)
+        assert len(below) == len(cols) == p.size, p
+        for z in range(p.size):
+            want = [w for w in p.order if p.down_mask[z] >> w & 1]
+            assert below[z] == want, (p, z)
+            assert cols[z] == [poset._chi_row(p, w)[p.above[w].index(z)] for w in want], (p, z)
+        assert poset._chi_below(p) is poset._chi_below(p)  # built once
+        for x in range(p.size):
+            for y in range(p.size):
+                if not p.leq(x, y):
+                    assert mobius(p, x, y) == 0, (p, x, y)
+                    with pytest.raises(ValueError, match="^not an interval"):
+                        interval_char_poly(p, x, y)
+        for bad in (p.size, -1):
+            for fn in (mobius, interval_char_poly, interval_chibar):
+                for pair in ((0, bad), (bad, 0)):
+                    with pytest.raises(ValueError, match="^id %d is not" % bad):
+                        fn(p, *pair)

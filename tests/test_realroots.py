@@ -375,6 +375,37 @@ def test_isolation_equals_fraction_reference():
         assert all(type(lo) is Fraction and type(hi) is Fraction for lo, hi in intervals)
 
 
+
+def test_squarefree_input_builds_one_sturm_chain(monkeypatch):
+    # the chain that finds gcd(p, p') = 1 is the chain of p itself, so a
+    # squarefree input costs one Euclidean loop; a square factor costs two
+    p = Poly([1, 3, 1]) * Poly([2, 5, 1])
+    square = p * (ONE + X) ** 2
+    want = {
+        "isolate": (fraction_isolation(p), fraction_isolation(square)),
+        "count": (4, 5),
+        "count in (-1, 0]": (2, 2),
+    }
+    calls = []
+    chain = realroots.sturm_chain
+
+    def spy(cs):
+        calls.append(cs)
+        return chain(cs)
+
+    monkeypatch.setattr(realroots, "sturm_chain", spy)
+    queries = {
+        "isolate": isolate_real_roots,
+        "count": count_distinct_real_roots,
+        "count in (-1, 0]": lambda q: count_distinct_real_roots(q, -1, 0),
+    }
+    for name, query in queries.items():
+        for q, expect, n_chains in zip((p, square), want[name], (1, 2)):
+            calls.clear()
+            assert query(q) == expect, (name, q)
+            assert len(calls) == n_chains, (name, q)
+    assert squarefree_part(p) == p.coeffs
+
 def test_interlaces_examples():
     assert interlaces(Poly([1, 1]), Poly([1, 1]) * Poly([2, 1]))
     assert not interlaces(Poly([1, 1]) * Poly([3, 1]), Poly([2, 1]))
