@@ -68,6 +68,7 @@ uniform_fast    rank-aggregated epw recursion, memoized on (k, n)
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -142,8 +143,8 @@ def aug_chow_chains(m, lattice=None):
     """Augmented Chow polynomial: 1 plus a sum over chains of nonempty
     flats, with leading factor x + ... + x^rk(F0)."""
     lat = _lat(m, lattice)
-    u = _chain_table(lat)
-    return ONE + sum((ones(r).shift(1) * u[f] for f, r in enumerate(lat.ranks) if r), ZERO)
+    counts = Counter(zip(lat.ranks, _chain_table(lat)))
+    return ONE + sum((ones(r).shift(1) * v * c for (r, v), c in counts.items() if r), ZERO)
 
 
 # -- convolution engines --------------------------------------------------------
@@ -209,11 +210,8 @@ def aug_chow_alt_conv(m, lattice=None):
     """H_M = 1 + x * sum over proper flats of uH(M/F)."""
     lat = _lat(m, lattice)
     table = _chow_upper_table(lat)
-    acc = ZERO
-    for f in range(lat.size):
-        if f != lat.top:
-            acc = acc + table[f]
-    return ONE + acc.shift(1)
+    counts = Counter(v for f, v in enumerate(table) if f != lat.top)
+    return ONE + sum((v * c for v, c in counts.items()), ZERO).shift(1)
 
 
 def aug_chow_mobius_conv(m, lattice=None):

@@ -32,15 +32,20 @@ the value at an element is a sum over the elements strictly above (or
 below) it of a kernel of the interval between them times the value there,
 followed by a finishing step.  A kernel depends on the interval only
 through its chi class or only through its rank gap, so it is asked once
-per class.  Each weight and each finished entry is packed into one int,
-the polynomial evaluated at a power of two wide enough for a proven bound
-on the coefficients of the sum, so a table costs one big-integer
-multiply-add per comparable pair and one exact decoding per element.
+per class, and a finishing step depends on the element only through its
+rank.  Each weight and each finished entry is packed into one int, the
+polynomial evaluated at a power of two wide enough for a proven bound on
+the coefficients of the sum, so a table costs one big-integer multiply-add
+per comparable pair.  Intervals repeat ([F, top] of a lattice of flats is
+the lattice of the contraction by F), so sums repeat: each distinct
+(rank, sum) is decoded and finished exactly once, and the elements that
+share it share one entry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 
 from .matroid import set_of
 from .poly import ONE, Poly, X, ZERO, exact_div_x_minus_1, palindromic_decompose
@@ -434,20 +439,31 @@ def interval_dp(p, name, upward, kernel, finish=None, by_gap=False):
     cached transpose of the chi rows (`_chi_below`), so no table decodes
     `down_mask[z]`.  The kernel is asked once per class, at the first pair
     of that class, and every later pair of the class reuses its weight.
+    Likewise `finish(z, s)` may depend on z only through rk z, as every
+    finish here and in `invariants` does, so one call serves every element
+    of that rank with that sum.
 
     Every weight and every finished entry is packed into one int, the
     polynomial evaluated at x = 2^B, so a comparable pair costs one read
-    of its class's packed weight and one big-integer multiply-add, and
-    each sum is decoded once, as signed base-2^B digits.  Evaluation at 2^B
-    is a ring homomorphism, so the packed sum is S(2^B) exactly, and the
-    decoding returns S when every |S_k| < 2^(B - 1).  Bound: for z with N
-    neighbours, |S_k(z)| <= sum_w |K(z, w)|_1 * |table[w]|_inf
-    <= N * max_k * max_t, where max_k is the largest L1 norm of a weight
-    asked for so far and max_t the largest |coefficient| of a finished
-    entry.  B starts at 64; after summing z, unless
-    (N * max_k * max_t).bit_length() + 1 < B, B doubles until it holds,
-    every weight and finished entry is repacked from its coefficient tuple
-    and z is summed again.  Weights live only for one call.
+    of its class's packed weight and one big-integer multiply-add.
+    Evaluation at 2^B is a ring homomorphism, so the packed sum is S(2^B)
+    exactly, and decoding it as signed base-2^B digits returns S when
+    every |S_k| < 2^(B - 1).  Bound: for z with N neighbours,
+    |S_k(z)| <= sum_w |K(z, w)|_1 * |table[w]|_inf <= N * max_k * max_t,
+    where max_k is the largest L1 norm of a weight asked for so far and
+    max_t the largest |coefficient| of a finished entry.  B starts at 64;
+    after summing z, unless (N * max_k * max_t).bit_length() + 1 < B,
+    B doubles until it holds, every weight and finished entry is repacked
+    from its coefficient tuple and z is summed again.  Weights live only
+    for one call.
+
+    Under that bound packing is injective, so equal packed sums at one
+    width are equal sums.  A dict local to the call maps (rk z, packed
+    sum) to the finished entry and its packed form: only a pair not seen
+    before is decoded, finished, repacked and counted in max_t, and every
+    later element with that pair takes the same entry object.  A packed
+    int means nothing at another width (t at B = 64 and the constant 2^64
+    at B = 128 are one int), so the dict is emptied whenever B doubles.
     """
     table = p._cache.get(name)
     if table is not None:
@@ -464,6 +480,7 @@ def interval_dp(p, name, upward, kernel, finish=None, by_gap=False):
     packs = [None] * n_classes  # class -> its weight at x = 2^bits
     table = [None] * p.size
     packed = [0] * p.size  # table[w] at x = 2^bits
+    done = {}  # (rk z, packed sum) -> (entry, packed entry), at this width
     bits = 64
     max_k, max_t = 0, 1
     for z in ids:
@@ -494,17 +511,24 @@ def interval_dp(p, name, upward, kernel, finish=None, by_gap=False):
             for w, val in enumerate(table):
                 if val is not None:
                     packed[w] = _pack(val.coeffs, bits)
-        s = Poly(_unpack(acc, bits))
-        val = s if finish is None else finish(z, s)
-        table[z], packed[z] = val, _pack(val.coeffs, bits)
-        max_t = max(max_t, max(map(abs, val.coeffs), default=0))
+            done.clear()
+        key = (ranks[z], acc)
+        got = done.get(key)
+        if got is None:
+            s = Poly(_unpack(acc, bits))
+            val = s if finish is None else finish(z, s)
+            got = done[key] = val, _pack(val.coeffs, bits)
+            max_t = max(max_t, max(map(abs, val.coeffs), default=0))
+        table[z], packed[z] = got
     p._cache[name] = table
     return table
 
 
 def rank_sum(p, table):
-    """sum over elements F of x^rk(F) * table[F]."""
-    return sum((table[f].shift(r) for f, r in enumerate(p.ranks)), ZERO)
+    """sum over elements F of x^rk(F) * table[F], one term per distinct
+    (rank, entry) times its count."""
+    counts = Counter(zip(p.ranks, table))
+    return sum((v.shift(r) * c for (r, v), c in counts.items()), ZERO)
 
 
 def _rank_gap_monomial(p):

@@ -779,6 +779,92 @@ def test_packed_digits_round_trip_at_their_edge():
         assert poset._unpack(poset._pack([half], bits), bits) != [half]
 
 
+def test_chow_table_finishes_once_per_rank(monkeypatch):
+    # every upper interval of a boolean or uniform lattice at one rank is
+    # the same lattice, so it has one sum and one finish per rank below
+    # the top, whatever the number of flats
+    calls = []
+    real = poset.palindromic_decompose
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(poset, "palindromic_decompose", counted)
+    for m, size, finishes in ((boolean(6), 64, 6), (uniform(3, 6), 23, 3)):
+        p = lattice_of_flats(m)
+        calls.clear()
+        poset.chow_table(p)
+        assert p.size == size and len(calls) == finishes, (m, len(calls))
+
+
+def test_interval_dp_forgets_its_entries_when_it_widens():
+    # the rank-1 element 2 is summed first, to t, packed at B = 64 as 2^64.
+    # Element 1 then asks a weight of about 2^64, B doubles to 128, and its
+    # sum is the constant 2^64: at B = 128 the same int.  Kept across the
+    # widening, the entry of 2 would be read back for 1.
+    p = GradedPoset(
+        [0, 1, 1, 2, 2, 2, 3],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 6), (4, 6), (5, 6)],
+    )
+
+    def kernel(x, y):
+        # chi of a rank-2 interval with k atoms is (k - 1, -k, 1)
+        chi = interval_char_poly(p, x, y).coeffs
+        k = -chi[1] if len(chi) == 3 else None
+        return {2: (-2, 1), 3: (2**64 - 3,)}.get(k, (1,))
+
+    got = poset.interval_dp(p, "alias", True, kernel)
+    assert got == reference_interval_dp(p, "alias", True, kernel)
+    assert got[2] == X and got[1] == Poly([2**64])
+
+
+def test_no_finish_tables_share_one_entry_per_rank_and_value(small_corpus):
+    # without a finish an entry is its own sum, so elements of one rank
+    # with equal entries hold one object
+    shared = 0
+    for name, m, _ in small_corpus:
+        if not m.rank:
+            continue
+        p = lattice_of_flats(m)
+        invariants.chow_char_conv(m, p)
+        invariants.chow_incidence_inv(m, p)
+        for table in ("chow_upper", "chow_lower"):
+            objects = {}
+            for r, v in zip(p.ranks, p._cache[table]):
+                objects.setdefault((r, v), set()).add(id(v))
+            assert all(len(ids) == 1 for ids in objects.values()), (name, table)
+            shared += len(objects) < p.size
+    assert shared  # elements really share entries
+
+
+def test_sums_over_flats_add_each_distinct_term_once(small_corpus):
+    # rank_sum, aug_chow_chains and aug_chow_alt_conv add one term per
+    # distinct (rank, entry) times its count; against the sum flat by flat,
+    # on the real tables and on planted ones with zero entries
+    rng = random.Random(20261021)
+    palette = [ZERO, ZERO, ONE, X, Poly([3, 0, -2])]
+    zeros = 0
+    for planted in (False, True):
+        posets = [lattice_of_flats(m) for _, m, _ in small_corpus if m.rank]
+        posets += random_graded_posets()
+        for p in posets:
+            if planted:
+                for table in ("chains", "chow_upper"):
+                    p._cache[table] = [rng.choice(palette) for _ in range(p.size)]
+            chains, upper = invariants._chain_table(p), invariants._chow_upper_table(p)
+            zeros += sum(not v for v in chains + upper)
+            for table in (chains, upper):
+                want = sum((v.shift(r) for r, v in zip(p.ranks, table)), ZERO)
+                assert poset.rank_sum(p, table) == want, p
+            lattice_only = SimpleNamespace()  # the two engines read only the lattice
+            want = ONE + sum((ones(r).shift(1) * v for r, v in zip(p.ranks, chains) if r), ZERO)
+            assert invariants.aug_chow_chains(lattice_only, p) == want, p
+            want = ONE + sum((v for f, v in enumerate(upper) if f != p.top), ZERO).shift(1)
+            assert invariants.aug_chow_alt_conv(lattice_only, p) == want, p
+    assert zeros
+
+
 def test_table_kernels_ask_the_traced_names_once_per_class(small_corpus, monkeypatch):
     # a kernel depends on an interval only through its chi class, so each
     # chi table asks its one traced name exactly once per distinct
