@@ -109,8 +109,10 @@ def parse_matroid_spec(text):
 
 
 def _parse_ints(text, expect=None):
+    """The comma-separated integers in text; a blank text is no integers,
+    and an empty field next to a comma is an error."""
     try:
-        vals = [int(v) for v in text.split(",") if v.strip() != ""]
+        vals = [int(v) for v in text.split(",")] if text.strip() else []
     except ValueError:
         raise SpecError("expected comma-separated integers in %r" % text)
     if expect is not None and len(vals) != expect:
@@ -177,12 +179,15 @@ SWEEP_CHECKS = CHECKS[:3]
 
 
 def _parse_checks(tokens):
-    """[(name, arg)] for check tokens; arg is N for koszul-prefix:N, else None."""
+    """[(name, arg)] for check tokens; arg is N for koszul-prefix:N, else None.
+    A check named twice is an error."""
     checks = []
     for t in tokens:
         name, sep, arg = t.partition(":")
         if name not in CHECKS or bool(sep) != (name == "koszul-prefix"):
             raise SpecError("unknown check %r" % t)
+        if any(name == seen for seen, _ in checks):
+            raise SpecError("check %r is given more than once" % name)
         try:
             terms = int(arg) if sep else None
         except ValueError:

@@ -6,11 +6,11 @@ A `GradedPoset` is built from ranks and cover pairs, and `FlatsLattice`,
 the lattice of flats of a matroid, is a `GradedPoset` whose covers come from
 a closure search.  The engines use one small interface: `size`, `ranks[i]`,
 `order` (all ids in increasing rank order), `above[i]` (ids strictly above
-i, ascending by rank, then by id), `bottom`, `top`, `leq(i, j)`, and the
-order relation as int bitsets over ids, `up_mask[i]` (ids strictly above i)
-and `down_mask[i]` (ids strictly below i).  An id outside 0..size-1 raises
-`ValueError`.  Instances are immutable apart from `_cache`, which holds,
-once first asked for:
+i, ascending by rank, then by id, so the covers of i lead it), `bottom`,
+`top`, `leq(i, j)`, and the order relation as one int bitset over ids per
+element, `down_mask[i]` (ids strictly below i), of which `above` is the
+transpose.  An id outside 0..size-1 raises `ValueError`.  Instances are
+immutable apart from `_cache`, which holds, once first asked for:
 
 - `chi_ids` and `chi_polys`: each distinct chi([x, y]) interned once,
   its coefficient tuple -> a small int class id -> its `Poly`, whose
@@ -23,8 +23,6 @@ once first asked for:
 - `chi_below`: the transpose of the rows, for the downward tables: for
   every z, the ids below z in (rank, id) order and the class of each
   [w, z];
-- `rank_masks[r]`: the ids of rank r as one mask, filled with the first
-  chi row, so the covers of x are `up_mask[x] & rank_masks[rk x + 1]`;
 - one table per `interval_dp` name.
 
 Every per-interval table, here and in `invariants`, is one `interval_dp`:
@@ -68,23 +66,16 @@ class GradedPoset:
                     "cover (%d, %d) does not raise rank by exactly 1" % (lo, hi)
                 )
             ups[lo].append(hi)
-        in_rank_order = all(a <= b for a, b in zip(ranks, ranks[1:]))
-        order = list(range(m)) if in_rank_order else sorted(range(m), key=ranks.__getitem__)
-        # the order relation from the covers: the ids above i by decreasing
-        # rank of i, the ids below by increasing rank
-        up_mask = [0] * m
+        order = sorted(range(m), key=ranks.__getitem__)
+        # the order relation from the covers: the ids below each id, by
+        # increasing rank
         down_mask = [0] * m
-        for i in reversed(order):
-            acc = 0
-            for j in ups[i]:
-                acc |= (1 << j) | up_mask[j]
-            up_mask[i] = acc
         for i in order:
             at_or_below = down_mask[i] | (1 << i)
             for j in ups[i]:
                 down_mask[j] |= at_or_below
         bottoms = [i for i in range(m) if not down_mask[i]]
-        tops = [i for i in range(m) if not up_mask[i]]
+        tops = [i for i in range(m) if not ups[i]]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("poset is not bounded (needs unique bottom and top)")
         self.bottom, self.top = bottoms[0], tops[0]
@@ -95,20 +86,19 @@ class GradedPoset:
         self.ranks = ranks
         self.size = m
         self.order = order
-        self.up_mask = up_mask
         self.down_mask = down_mask
-        # set_of lists ids ascending, which is (rank, id) order when ids
-        # follow rank; otherwise a stable sort by rank gives that order
-        if in_rank_order:
-            self.above = [set_of(a) for a in up_mask]
-        else:
-            self.above = [sorted(set_of(a), key=ranks.__getitem__) for a in up_mask]
+        # the transpose of down_mask: y joins above[x] for each x below it,
+        # and y runs in (rank, id) order, so every list comes out in it
+        self.above = above = [[] for _ in range(m)]
+        for y in order:
+            for x in set_of(down_mask[y]):
+                above[x].append(y)
         self._cache = {}
 
     def leq(self, i, j):
         _require_id(self, i)
         _require_id(self, j)
-        return i == j or bool(self.up_mask[i] >> j & 1)
+        return i == j or bool(self.down_mask[j] >> i & 1)
 
     @classmethod
     def from_json(cls, data):
@@ -227,8 +217,8 @@ def _chi_row(p, x):
     Coefficient rk y - rk x - s of chi([x, y]) is then
     sum_v v * |down[y] & mask|, one popcount per class, and mu(x, y) is minus
     the sum of the others.  The covers of x, the leading run of `above[x]`,
-    all have chi = t - 1 and mu = -1, so they get that class in one step
-    and their mask, `up_mask[x]` within the next rank, is the one gap-1
+    all have chi = t - 1 and mu = -1, so they get that class in one step,
+    and their mask, built in one pass over that run, is the one gap-1
     mu-class.  Every y of a higher rank finds the classes below its rank
     complete, so the (coefficient index, v, mask) terms are listed once per
     rank and each y runs one loop over them."""
@@ -238,9 +228,6 @@ def _chi_row(p, x):
         rows = cache["chi_rows"] = {}
         cache["chi_ids"] = {ONE.coeffs: 0}
         cache["chi_polys"] = [ONE]
-        cache["rank_masks"] = rank_masks = [0] * (p.ranks[p.top] + 1)
-        for i, r in enumerate(p.ranks):
-            rank_masks[r] |= 1 << i
     row = rows.get(x)
     if row is not None:
         return row
@@ -251,13 +238,17 @@ def _chi_row(p, x):
     rows[x] = row = []
     if not above:  # x is the top
         return row
-    covers = p.up_mask[x] & cache["rank_masks"][rx + 1]
+    covers = n_covers = 0  # the mask and the length of the leading run
+    for y in above:
+        if ranks[y] > rx + 1:
+            break
+        covers |= 1 << y
+        n_covers += 1
     key = (-1, 1)
     cid = ids.get(key)
     if cid is None:
         cid = ids[key] = len(polys)
         polys.append(Poly(key))
-    n_covers = covers.bit_count()
     row += [cid] * n_covers
     classes = [None, {-1: covers}]
     d = 1
@@ -308,7 +299,7 @@ def _chi(p, x, y):
     polys = p._cache["chi_polys"]
     if x == y:
         return polys[0]
-    if not p.up_mask[x] >> y & 1:
+    if not p.down_mask[y] >> x & 1:
         return None
     ranks = p.ranks
     i = bisect_left(p.above[x], (ranks[y], y), key=lambda j: (ranks[j], j))

@@ -66,9 +66,21 @@ def test_parse_matroid_file(tmp_path):
 
 
 def test_parse_matroid_spec_rejects_bad_specs():
-    for spec in ("relax(uniform:2,4)", "foo:1", "uniform:a,b", "uniform:3"):
+    bad = ("relax(uniform:2,4)", "foo:1", "uniform:a,b", "uniform:3", "uniform:3,,5", "uniform:3,5,")
+    for spec in bad:
         with pytest.raises(cli.SpecError):
             parse_matroid_spec(spec)
+
+
+def test_empty_integer_fields_are_one_error_line(capsys):
+    for spec in ("uniform:3,,5", "uniform:3,5,"):
+        assert main(["crosscheck", spec, "chow"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected comma-separated integers in %r\n" % spec[8:]
+    # a wholly empty list is still no integers
+    code, data = run_json(capsys, "hz", "--s", "")
+    assert code == 0 and data["input"] == "s=()"
 
 
 @pytest.mark.parametrize(
@@ -225,6 +237,14 @@ def test_certify_rejects_a_poset_spec_without_file_and_loops(capsys):
 
 def test_certify_unknown_check(capsys):
     assert main(["certify", "vamos", "deeply-magical"]) == 1
+
+
+def test_certify_rejects_a_repeated_check(capsys):
+    for checks in (["koszul-prefix:2", "koszul-prefix:5"], ["gamma", "unimodal", "gamma"]):
+        assert main(["certify", "uniform:2,4", *checks, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check %r is given more than once\n" % checks[-1].split(":")[0]
 
 
 def test_certify_poset_rejects_matroid_checks(capsys):
@@ -448,6 +468,13 @@ def test_sweep_rejects_unknown_checks(capsys):
         assert "'%s'" % check.split(":")[0] in capsys.readouterr().err
     code, data = run_json(capsys, *base, "gamma,real-rooted,unimodal")
     assert code == 0 and data["checks"] == ["gamma", "real-rooted", "unimodal"]
+
+
+def test_sweep_rejects_a_repeated_check(capsys):
+    assert main(["sweep", "sparse-paving", "--n", "8", "--k", "4", "--certify", "gamma,gamma"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: check 'gamma' is given more than once\n"
 
 
 def test_sweep_rejects_empty_check_list(capsys):

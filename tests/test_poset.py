@@ -205,7 +205,9 @@ def test_lattice_matches_reference_build(small_corpus):
         assert lat.by_rank == by_rank, name
         assert lat.above == above, name  # same lists, same order
         for i in range(lat.size):
-            assert lat.up_mask[i] == mask_of(above[i]), (name, i)
+            ups = mask_of(j for j in range(lat.size) if lat.down_mask[j] >> i & 1)
+            assert ups == mask_of(above[i]), (name, i)
+            assert mask_of(j for j in range(lat.size) if j != i and lat.leq(i, j)) == ups, (name, i)
             assert lat.down_mask[i] == mask_of(j for j in range(lat.size) if i in above[j]), (name, i)
 
 
@@ -216,7 +218,7 @@ def test_lattice_is_the_graded_poset_of_its_covers(small_corpus):
         again = GradedPoset.from_json(lat.to_json())
         assert again.ranks == lat.ranks, name
         assert again.order == lat.order, name
-        assert again.up_mask == lat.up_mask, name
+        assert all(again.leq(i, j) == lat.leq(i, j) for i in range(lat.size) for j in range(lat.size)), name
         assert again.down_mask == lat.down_mask, name
         assert again.above == lat.above, name
         assert (again.bottom, again.top) == (lat.bottom, lat.top), name
@@ -339,10 +341,11 @@ def test_mobius_against_zeta_inverse():
                     assert interval_char_poly(p, i, j) == Poly(expect), (p, i, j)
 
 
-def random_graded_poset(rng, length, width):
-    """Random bounded graded poset: levels of 1..width elements between a
-    bottom and a top, each element covering a random nonempty set of the
-    level below and covered by at least one element of the level above."""
+def random_graded_poset_input(rng, length, width):
+    """(ranks, covers) of a random bounded graded poset: levels of 1..width
+    elements between a bottom and a top, each element covering a random
+    nonempty set of the level below and covered by at least one element of
+    the level above."""
     sizes = [1] + [rng.randint(1, width) for _ in range(length - 1)] + [1]
     ranks, levels = [], []
     for r, size in enumerate(sizes):
@@ -356,12 +359,16 @@ def random_graded_poset(rng, length, width):
         for lo in lower:
             if not any((lo, hi) in covers for hi in upper):
                 covers.add((lo, rng.choice(upper)))
-    return GradedPoset(ranks, sorted(covers))
+    return ranks, sorted(covers)
+
+
+def random_graded_poset_inputs():
+    rng = random.Random(20240607)
+    return [random_graded_poset_input(rng, length, width) for length in (1, 2, 3, 4, 5) for width in (1, 2, 4)]
 
 
 def random_graded_posets():
-    rng = random.Random(20240607)
-    return [random_graded_poset(rng, length, width) for length in (1, 2, 3, 4, 5) for width in (1, 2, 4)]
+    return [GradedPoset(ranks, covers) for ranks, covers in random_graded_poset_inputs()]
 
 
 def relabelled(p, rng):
@@ -462,7 +469,8 @@ def test_relabelled_posets_map_through_the_permutation():
         again = GradedPoset.from_json(json.loads(blob))
         assert json.dumps(again.to_json(), sort_keys=True) == blob
         assert (again.ranks, again.order, again.above) == (q.ranks, q.order, q.above)
-        assert (again.up_mask, again.down_mask) == (q.up_mask, q.down_mask)
+        assert again.down_mask == q.down_mask
+        assert all(again.leq(i, j) == q.leq(i, j) for i in range(q.size) for j in range(q.size))
 
 
 def test_ids_outside_the_poset_are_named():
@@ -600,19 +608,33 @@ def test_graded_poset_validation():
         GradedPoset([1, 2], [[0, 1]])  # bottom must have rank 0
 
 
-def test_graded_poset_order_masks():
-    p = GradedPoset.from_json(COUNTEREXAMPLE)
-    leq = {(lo, hi) for lo, hi in COUNTEREXAMPLE["covers"]}
-    for _ in range(p.size):  # transitive closure of the covers
-        leq |= {(a, d) for a, b in leq for c, d in leq if b == c}
+def assert_order_is_the_closure(p, covers):
+    """leq, above and down_mask of p against the transitive closure of the
+    cover pairs p was built from."""
+    leq = {(lo, hi) for lo, hi in covers}
+    while True:  # transitive closure of the covers
+        wider = leq | {(a, d) for a, b in leq for c, d in leq if b == c}
+        if wider == leq:
+            break
+        leq = wider
     for i in range(p.size):
-        assert p.up_mask[i] == mask_of(j for j in range(p.size) if (i, j) in leq), i
-        assert p.down_mask[i] == mask_of(j for j in range(p.size) if (j, i) in leq), i
+        assert mask_of(p.above[i]) == mask_of(j for j in range(p.size) if (i, j) in leq), (p, i)
+        assert p.down_mask[i] == mask_of(j for j in range(p.size) if (j, i) in leq), (p, i)
         assert p.above[i] == sorted(
             (j for j in range(p.size) if (i, j) in leq), key=lambda j: (p.ranks[j], j)
-        ), i
+        ), (p, i)
         for j in range(p.size):
-            assert p.leq(i, j) == (i == j or (i, j) in leq), (i, j)
+            assert p.leq(i, j) == (i == j or (i, j) in leq), (p, i, j)
+
+
+def test_graded_poset_order_masks():
+    # the random posets, the counterexample poset and their relabelled
+    # copies, whose ids do not follow rank
+    inputs = random_graded_poset_inputs() + [(COUNTEREXAMPLE["rank"], COUNTEREXAMPLE["covers"])]
+    for (ranks, covers), (p, q, perm) in zip(inputs, relabelled_cases(), strict=True):
+        assert list(p.ranks) == ranks
+        assert_order_is_the_closure(p, covers)
+        assert_order_is_the_closure(q, [(perm[lo], perm[hi]) for lo, hi in covers])
 
 
 def test_graded_poset_json_round_trip():
