@@ -6,8 +6,8 @@ error, 2 cross-method disagreement, 3 certification failure.  A malformed
 command line prints the usage line and argparse's message, which names the
 bad flag or choice; any other usage or parse error (a bad spec, check or
 value, an unreadable file, a negative or NaN --timeout-secs, a spent
---timeout-secs budget, an empty sweep --certify list) prints one line
-`error: <message>` to stderr, from `main` alone.
+--timeout-secs budget, an empty sweep --certify list or field) prints one
+line `error: <message>` to stderr, from `main` alone.
 
 Matroids are named by a small grammar:
 
@@ -20,8 +20,10 @@ certify takes any of the checks in CHECKS, koszul-prefix as koszul-prefix:N
 with N >= 1.  With --poset it loads a JSON bounded graded poset
 {"rank": [...], "covers": [[lo, hi], ...]} instead of a matroid and runs the
 general-poset engines, which support gamma, real-rooted and unimodal.
-sweep --certify takes a nonempty comma-separated subset of those three.  All
-polynomial coefficients are printed as decimal strings.
+sweep --certify takes a nonempty comma-separated subset of those three, with
+no empty field.  sweep hands its lambdas to workers in chunks of
+SWEEP_CHUNK, on min(--jobs, number of chunks) processes, and runs in-process
+when that is 1.  All polynomial coefficients are printed as decimal strings.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ def parse_matroid_spec(text):
         spec, subset = body.rsplit(";", 1)
         inner, _ = parse_matroid_spec(spec)
         elements = _parse_ints(subset)
+        for e in elements:
+            if not 0 <= e < inner.n:
+                raise SpecError(
+                    "relax element %d is not in the ground set 0..%d" % (e, inner.n - 1)
+                )
         return inner.relax(mask_of(elements)), None
     if text == "vamos":
         return vamos(), None
@@ -176,6 +183,8 @@ def cmd_invariant(args):
 CHECKS = ("gamma", "real-rooted", "unimodal", "dominance", "interlace", "koszul-prefix")
 # the checks a sparse-paving sweep runs on the closed forms of uH and H
 SWEEP_CHECKS = CHECKS[:3]
+# lambdas per task handed to a sweep worker
+SWEEP_CHUNK = 16
 
 
 def _parse_checks(tokens):
@@ -390,6 +399,8 @@ def _sweep_one(payload):
                     failures.append({"check": "gamma", "poly": tag, "gamma": _coeffs(g)})
         elif name == "real-rooted":
             for tag, q, _ in polys:
+                if q.is_zero():
+                    continue  # zero, as uH is at k = lambda = 1, counts as real-rooted
                 g = gammas.get(tag)
                 if g is not None and all(c >= 0 for c in g.coeffs):
                     real = roots_all_real(g.coeffs)
@@ -416,9 +427,11 @@ def cmd_sweep(args):
         lam_max = comb(n, k) // (n - k + 1) if n > k else 0
     if lam_min < 0 or lam_max < lam_min:
         raise SpecError("invalid lambda range")
-    checks = [c for c in args.certify.split(",") if c]
-    if not checks:
+    checks = args.certify.split(",")
+    if not any(checks):
         raise SpecError("--certify needs at least one check")
+    if not all(checks):
+        raise SpecError("--certify has an empty check name in %r" % args.certify)
     for name, _ in _parse_checks(checks):
         if name not in SWEEP_CHECKS:
             raise SpecError("check %r does not apply to sweep" % name)
@@ -427,10 +440,12 @@ def cmd_sweep(args):
         raise SpecError("--jobs must be at least 1, got %d" % jobs)
     deadline = _deadline(args)
     payloads = [(k, n, lam, checks) for lam in range(lam_min, lam_max + 1)]
+    # the pool starts every worker up front: no more than there are chunks
+    jobs = min(jobs, -(-len(payloads) // SWEEP_CHUNK))
     results = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         # pool.map, like map, yields in payload order, so results are sorted by lambda
-        mapped = pool.map(_sweep_one, payloads, chunksize=16) if pool else map(_sweep_one, payloads)
+        mapped = pool.map(_sweep_one, payloads, chunksize=SWEEP_CHUNK) if pool else map(_sweep_one, payloads)
         for r in mapped:
             results.append(r)
             if deadline and time.monotonic() > deadline:

@@ -21,8 +21,10 @@ The deletion engines (semismall, bv_deletion) take the same lattice and
 recurse over flat-set minors read off its flats: a minor is the key
 (n, levels) of its flats by rank, which is also the memo key, so the
 recursions scan no bases, build no lattice of a minor and share no
-interval table with the lattice engines.  bv_deletion reads `tau` of a
-contraction off the P that its own recursion computes for it.
+interval table with the lattice engines.  The two semismall engines share
+one recursion, for uH or H, whose contraction factors are always uH.
+bv_deletion reads `tau` of a contraction off the P that its own recursion
+computes for it.
 
 Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
 polynomial and characteristic polynomial vanish; the augmented Chow and
@@ -325,77 +327,46 @@ def chow_semismall(m, lattice=None):
     coloop variant of the decomposition."""
     if not m.is_loopless():
         return ZERO
-    return _ss_chow(_flat_key(_lat(m, lattice)), {})
-
-
-def _ss_chow(key, memo):
-    val = memo.get(key)
-    if val is not None:
-        return val
-    n = key[0]
-    if n <= 1:
-        val = ONE
-    else:
-        i = _smallest_non_coloop(key)
-        if i is None:
-            # free matroid: split off the last coloop; the minors by a
-            # c-subset of the rest are free on n - 1 - c and c elements
-            n -= 1
-            acc = (ONE + X) * _ss_chow(_free(n), memo)
-            extra = ZERO
-            for c in range(1, n):
-                extra = extra + comb(n, c) * _ss_chow(_free(n - c), memo) * _ss_chow(
-                    _free(c), memo
-                )
-            val = acc + extra.shift(1)
-        else:
-            bit = 1 << i
-            acc = _ss_chow(_delete(key, i), memo)
-            extra = ZERO
-            for r, f in _s_families(key, i):
-                if f == 0:
-                    continue
-                extra = extra + _ss_chow(_contract(key, f | bit, r + 1), memo) * _ss_chow(
-                    _restrict(key, f, r), memo
-                )
-            val = acc + extra.shift(1)
-    memo[key] = val
-    return val
+    return _semismall(_flat_key(_lat(m, lattice)), False, ({}, {}))
 
 
 def aug_chow_semismall(m, lattice=None):
     """Augmented Chow polynomial by the semi-small deletion recursion."""
-    return _ss_aug(_flat_key(_lat(m, lattice)), {}, {})
+    return _semismall(_flat_key(_lat(m, lattice)), True, ({}, {}))
 
 
-def _ss_aug(key, memo_h, memo_u):
-    val = memo_h.get(key)
+def _semismall(key, aug, memo):
+    """uH (aug false) or H (aug true) of a flat-set minor by
+    f(M) = f(M - i) + x sum_F uH(M/(F+i)) f(M|F) over the flats F of
+    `_s_families`: nonempty F for uH, every F for H.  memo is one dict per
+    polynomial, (uH, H)."""
+    table = memo[aug]
+    val = table.get(key)
     if val is not None:
         return val
     n = key[0]
-    if n == 0:
-        val = ONE
+    if n == 0 or (n == 1 and not aug):
+        val = ONE  # uH of a lone coloop is 1; H takes the coloop rule, 1 + x
     else:
         i = _smallest_non_coloop(key)
+        extra = ZERO
         if i is None:
+            # free matroid: split off the last coloop; the minors by a
+            # c-subset of the rest are free on n - 1 - c and c elements
             n -= 1
-            acc = (ONE + X) * _ss_aug(_free(n), memo_h, memo_u)
-            extra = ZERO
-            for c in range(n):
-                extra = extra + comb(n, c) * _ss_chow(_free(n - c), memo_u) * _ss_aug(
-                    _free(c), memo_h, memo_u
-                )
-            val = acc + extra.shift(1)
+            acc = (ONE + X) * _semismall(_free(n), aug, memo)
+            for c in range(0 if aug else 1, n):  # c = 0 is the F = {} term
+                con = comb(n, c) * _semismall(_free(n - c), False, memo)
+                extra = extra + con * _semismall(_free(c), aug, memo)
         else:
             bit = 1 << i
-            acc = _ss_aug(_delete(key, i), memo_h, memo_u)
-            extra = ZERO
+            acc = _semismall(_delete(key, i), aug, memo)
             for r, f in _s_families(key, i):
-                extra = extra + _ss_chow(_contract(key, f | bit, r + 1), memo_u) * _ss_aug(
-                    _restrict(key, f, r), memo_h, memo_u
-                )
-            val = acc + extra.shift(1)
-    memo_h[key] = val
+                if f or aug:
+                    con = _semismall(_contract(key, f | bit, r + 1), False, memo)
+                    extra = extra + con * _semismall(_restrict(key, f, r), aug, memo)
+        val = acc + extra.shift(1)
+    table[key] = val
     return val
 
 

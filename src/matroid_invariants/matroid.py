@@ -11,11 +11,11 @@ bases.  A caller that already holds S may pass it to `closure` as the
 subset's span and skip the growing: the lattice build carries S from each
 flat to the covers it finds.  Construction from an explicit bases list
 validates the exchange axiom in full; matroids produced by the combinators
-(dual, minors, sums, relaxation of a stressed subset) skip re-validation
-where validity is inherited.  One relabelling routine, `squeeze`,
-renumbers the masks of every kind of minor: the bases of a restriction or
-contraction here, and the flats of the flat-set minors of the deletion
-engines.
+(dual, minors, sums) skip re-validation where validity is inherited, while
+the relaxation of a stressed subset is validated again.  One relabelling
+routine, `squeeze`, renumbers the masks of every kind of minor: the bases
+of a restriction or contraction here, and the flats of the flat-set minors
+of the deletion engines.
 """
 
 from __future__ import annotations

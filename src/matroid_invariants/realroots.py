@@ -247,8 +247,11 @@ def roots_all_real(cs):
     """True iff every complex root of the nonzero integer polynomial with
     coefficients cs (lowest first) is real: the one-chain count of
     `real_rooted`.  By the lemma there, a palindromic q with q(0) != 0
-    and gamma vector gamma >= 0 is real-rooted iff gamma is."""
+    and gamma vector gamma >= 0 is real-rooted iff gamma is.  An empty or
+    all-zero cs, the zero polynomial, raises `ValueError`."""
     chain = sturm_chain(cs)
+    if not chain:
+        raise ValueError("the zero polynomial is not a valid input")
     real = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
     return real == len(chain[0]) - len(chain[-1])
 

@@ -72,6 +72,14 @@ def test_parse_matroid_spec_rejects_bad_specs():
             parse_matroid_spec(spec)
 
 
+def test_relax_names_an_element_outside_the_ground_set(capsys):
+    for element in ("-1", "4"):
+        assert main(["crosscheck", "relax(uniform:2,4;0,%s)" % element, "chow"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relax element %s is not in the ground set 0..3\n" % element
+
+
 def test_empty_integer_fields_are_one_error_line(capsys):
     for spec in ("uniform:3,,5", "uniform:3,5,"):
         assert main(["crosscheck", spec, "chow"]) == 1
@@ -485,9 +493,61 @@ def test_sweep_rejects_empty_check_list(capsys):
         assert captured.err == "error: --certify needs at least one check\n"
 
 
+def test_sweep_rejects_an_empty_check_field(capsys):
+    for certify in ("gamma,,unimodal", ",gamma", "gamma,"):
+        assert main(["sweep", "sparse-paving", "--n", "8", "--k", "4", "--certify", certify]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --certify has an empty check name in %r\n" % certify
+
+
+def test_sweep_counts_the_zero_chow_polynomial_as_real_rooted(capsys):
+    # at k = 1, lambda = 1 the member is U(1, n-1) plus a loop, so uH = 0
+    base = ["sweep", "sparse-paving", "--n", "4", "--k", "1"]
+    for certify in ([], ["--certify", "real-rooted"], ["--certify", "gamma,real-rooted,unimodal"]):
+        code, data = run_json(capsys, *base, *certify)
+        assert code == 0 and data["count"] == 2 and data["failures"] == 0, certify
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_sweep_starts_no_more_workers_than_chunks(capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(started, max_workers))
+    base = ["sweep", "sparse-paving", "--n", "10", "--k", "5"]
+    # (extra arguments, cases, workers started); chunks hold 16 lambdas,
+    # and one chunk runs in-process without a pool
+    for extra, count, workers in (
+        (["--lambda-max", "5", "--jobs", "64"], 6, []),
+        (["--lambda-max", "16", "--jobs", "64"], 17, [2]),
+        (["--jobs", "64"], 43, [3]),
+        (["--jobs", "2"], 43, [2]),
+        (["--jobs", "1"], 43, []),
+    ):
+        started.clear()
+        code, data = run_json(capsys, *base, *extra)
+        assert code == 0 and data["count"] == count and data["failures"] == 0
+        assert started == workers, extra
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_timeout(capsys, jobs):
-    argv = ["sweep", "sparse-paving", "--n", "8", "--k", "4", "--jobs", jobs, "--timeout-secs", "0.000001"]
+    # 43 cases, three chunks: --jobs 2 runs on a two-worker pool
+    argv = ["sweep", "sparse-paving", "--n", "10", "--k", "5", "--jobs", jobs, "--timeout-secs", "0.000001"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: timeout exceeded\n"

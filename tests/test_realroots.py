@@ -17,6 +17,7 @@ from matroid_invariants.realroots import (
     interlaces,
     isolate_real_roots,
     real_rooted,
+    roots_all_real,
     squarefree_part,
     sturm_chain,
 )
@@ -249,6 +250,14 @@ def test_real_rooted_basic():
     assert real_rooted(Poly([0, 0, 3]))  # x^2
     with pytest.raises(ValueError):
         real_rooted(Poly())
+
+
+def test_roots_all_real_on_constants_and_the_zero_polynomial():
+    assert roots_all_real((5,)) and roots_all_real((-1, 0))  # constants
+    assert roots_all_real((2, 1)) and not roots_all_real((1, 0, 1))
+    for cs in ((), (0,), (0, 0)):
+        with pytest.raises(ValueError):
+            roots_all_real(cs)
 
 
 def test_real_rooted_mixed_multiplicities():
