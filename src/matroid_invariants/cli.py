@@ -21,9 +21,13 @@ with N >= 1.  With --poset it loads a JSON bounded graded poset
 {"rank": [...], "covers": [[lo, hi], ...]} instead of a matroid and runs the
 general-poset engines, which support gamma, real-rooted and unimodal.
 sweep --certify takes a nonempty comma-separated subset of those three, with
-no empty field.  sweep hands its lambdas to workers in chunks of
-SWEEP_CHUNK, on min(--jobs, number of chunks) processes, and runs in-process
-when that is 1.  All polynomial coefficients are printed as decimal strings.
+no empty field.  sweep --lambda-max is at most C(n, k) // (n - k + 1), its
+default: no sparse paving matroid has more circuit-hyperplanes, since each
+(k-1)-set lies in at most one.  sweep hands its lambdas to workers in chunks
+of SWEEP_CHUNK, on min(--jobs, number of chunks) processes, and runs
+in-process when that is 1; `concurrent.futures`, and with it
+`multiprocessing`, is imported only when a pool starts, so no other command
+loads them.  All polynomial coefficients are printed as decimal strings.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from math import comb
 
@@ -421,10 +424,15 @@ def cmd_sweep(args):
     k, n = args.k, args.n
     if not 1 <= k <= n:
         raise SpecError("need 1 <= k <= n")
+    # each (k-1)-set lies in at most one circuit-hyperplane
+    lam_bound = comb(n, k) // (n - k + 1) if n > k else 0
     lam_min = args.lambda_min
-    lam_max = args.lambda_max
-    if lam_max is None:
-        lam_max = comb(n, k) // (n - k + 1) if n > k else 0
+    lam_max = lam_bound if args.lambda_max is None else args.lambda_max
+    if lam_max > lam_bound:
+        raise SpecError(
+            "--lambda-max %d is above %d, the most circuit-hyperplanes of a "
+            "sparse paving matroid with n=%d, k=%d" % (lam_max, lam_bound, n, k)
+        )
     if lam_min < 0 or lam_max < lam_min:
         raise SpecError("invalid lambda range")
     checks = args.certify.split(",")
@@ -442,6 +450,9 @@ def cmd_sweep(args):
     payloads = [(k, n, lam, checks) for lam in range(lam_min, lam_max + 1)]
     # the pool starts every worker up front: no more than there are chunks
     jobs = min(jobs, -(-len(payloads) // SWEEP_CHUNK))
+    if jobs > 1:
+        # the pool's modules (multiprocessing, pickle, ...) load only here
+        from concurrent.futures import ProcessPoolExecutor
     results = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         # pool.map, like map, yields in payload order, so results are sorted by lambda

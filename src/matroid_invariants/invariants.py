@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -661,17 +660,17 @@ def z_bv_deletion(m, lattice=None):
 # -- certification ------------------------------------------------------------------
 
 
-@dataclass
 class GammaEntry:
-    name: str
-    poly: Poly
-    gamma: Poly | None
-    ok: bool
+    def __init__(self, name: str, poly: Poly, gamma: Poly | None, ok: bool):
+        self.name = name
+        self.poly = poly
+        self.gamma = gamma
+        self.ok = ok
 
 
-@dataclass
 class GammaReport:
-    entries: list[GammaEntry] = field(default_factory=list)
+    def __init__(self, entries: list[GammaEntry] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self):
@@ -729,10 +728,10 @@ def certify_gamma_poset(p):
     return _gamma_report(p.ranks[p.top], uh, h, kls_Z_general(p))
 
 
-@dataclass
 class DominanceReport:
-    ok: bool
-    witnesses: list
+    def __init__(self, ok: bool, witnesses: list):
+        self.ok = ok
+        self.witnesses = witnesses
 
     def to_json(self):
         return {"ok": self.ok, "witnesses": self.witnesses}
@@ -757,12 +756,12 @@ def certify_dominance(m, lattice=None):
     return DominanceReport(not witnesses, witnesses)
 
 
-@dataclass
 class HrsReport:
-    k: int
-    n: int
-    h_poly: Poly
-    direct_checked: bool
+    def __init__(self, k: int, n: int, h_poly: Poly, direct_checked: bool):
+        self.k = k
+        self.n = n
+        self.h_poly = h_poly
+        self.direct_checked = direct_checked
 
 
 def hrs_identity(k, n):
@@ -928,13 +927,13 @@ def compute_invariant(m, kind, method, braid_n=None, lattice=None):
     return METHODS[kind][method][0](m, lattice, braid_n)
 
 
-@dataclass
 class InvariantReport:
-    descriptor: str
-    kind: str
-    results: dict
-    seconds: dict
-    agree: bool
+    def __init__(self, descriptor: str, kind: str, results: dict, seconds: dict, agree: bool):
+        self.descriptor = descriptor
+        self.kind = kind
+        self.results = results
+        self.seconds = seconds
+        self.agree = agree
 
     def to_json(self):
         return {

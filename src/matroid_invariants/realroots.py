@@ -1,15 +1,17 @@
 """Exact real-root certification: Sturm sequences, isolation, interlacing.
 
-Everything here runs on integers and `fractions.Fraction`; there is no
-floating point on any certification path.  Sturm chains, and with them
-squarefree parts, are computed in Z[x] alone: each remainder is an integer
-pseudo-remainder, scaled at every step by a positive factor of the divisor's
-leading coefficient, and reduced to its primitive part.  Positive scaling
-keeps the sign structure, and a primitive part is the same whatever
-positive multiple it came from, so every chain entry is the primitive part
-of the remainder over Q.  Rationals appear only as evaluation points (root
-isolation and interlacing), and the sign of a polynomial at a / b is read
-off an integer sum, with no `Fraction` arithmetic per coefficient.
+Everything here runs on integers; there is no floating point on any
+certification path.  Sturm chains, and with them squarefree parts, are
+computed in Z[x] alone: each remainder is an integer pseudo-remainder,
+scaled at every step by a positive factor of the divisor's leading
+coefficient, and reduced to its primitive part.  Positive scaling keeps the
+sign structure, and a primitive part is the same whatever positive multiple
+it came from, so every chain entry is the primitive part of the remainder
+over Q.  Rationals appear only as evaluation points (root isolation and
+interlacing), as `fractions.Fraction`s that `cauchy_bound` and
+`count_distinct_real_roots` make, which import `fractions` themselves; the
+sign of a polynomial at a / b is read off an integer sum, with no
+`Fraction` arithmetic per coefficient.
 
 Interlacing counts the roots of a real-rooted polynomial up to a point,
 with multiplicity, by Descartes' rule of signs on its Taylor expansion at
@@ -26,7 +28,6 @@ gamma-positive, so their certificates are all decided this way.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .poly import Poly, gamma_vector
@@ -192,6 +193,8 @@ def count_distinct_real_roots(p, lo=None, hi=None):
     The chain is that of the squarefree part, so an endpoint may be a root,
     of any multiplicity.  Bounds are read exactly as `Fraction`s.
     """
+    from fractions import Fraction
+
     cs, chain = _squarefree_with_chain(p)
     if not cs:
         raise ValueError("the zero polynomial has every number as a root")
@@ -203,6 +206,8 @@ def count_distinct_real_roots(p, lo=None, hi=None):
 
 def cauchy_bound(coeffs):
     """1 + max |a_i| / |a_d|: every root has absolute value strictly below it."""
+    from fractions import Fraction
+
     cs = _primitive(_int_coeffs(coeffs))
     lead = abs(cs[-1])
     worst = max(abs(c) for c in cs[:-1]) if len(cs) > 1 else 0

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -25,6 +26,10 @@ RECORDED_CERTIFY = [
     (["--poset", POSET_SPEC, "gamma", "real-rooted", "unimodal", "--json"], "certify_poset.json", 3, 0),
     (["--poset", POSET_SPEC, "gamma", "real-rooted", "unimodal"], "certify_poset.txt", 3, 0),
 ]
+# `hrs --max-n 4 --json`, and `crosscheck uniform:3,5 chow --json` without its
+# timing fields, recorded when the report classes were dataclasses
+HRS_FILE = os.path.join(FIXTURES, "hrs_max_n_4.json")
+CROSSCHECK_FILE = os.path.join(FIXTURES, "crosscheck_uniform_3_5_chow.json")
 
 
 def run(capsys, *argv):
@@ -381,6 +386,17 @@ def test_hrs_command(capsys):
     assert len(data["cases"]) == 21
 
 
+def test_report_json_matches_the_recordings(capsys):
+    code, out = run(capsys, "hrs", "--max-n", "4", "--json")
+    with open(HRS_FILE, encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
+    code, data = run_json(capsys, "crosscheck", "uniform:3,5", "chow")
+    for method in data["methods"].values():
+        assert method.pop("seconds") >= 0
+    with open(CROSSCHECK_FILE, encoding="utf-8") as fh:
+        assert code == 0 and data == json.load(fh)
+
+
 def test_hrs_command_reports_a_failure(capsys, monkeypatch):
     def fail(k, n):
         raise RuntimeError("identity fails at (%d, %d)" % (k, n))
@@ -401,6 +417,22 @@ def test_sweep_small(capsys):
     )
     assert code == 0
     assert data["count"] == 11 and data["failures"] == 0
+
+
+def test_sweep_lambda_max_is_at_most_the_circuit_hyperplane_bound(capsys):
+    # C(8, 4) // (8 - 4 + 1) = 14: the default and the largest --lambda-max
+    base = ["sweep", "sparse-paving", "--n", "8", "--k", "4"]
+    code, data = run_json(capsys, *base, "--lambda-max", "14")
+    assert code == 0 and data["count"] == 15 and data["failures"] == 0
+    assert data["lambda_range"] == [0, 14]
+    for extra in (["--lambda-min", "15", "--lambda-max", "40"], ["--lambda-max", "15"]):
+        assert main(base + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --lambda-max %s is above 14, the most circuit-hyperplanes of a "
+            "sparse paving matroid with n=8, k=4\n" % extra[-1]
+        )
 
 
 def test_sweep_determinism_across_jobs(capsys):
@@ -527,7 +559,10 @@ class _RecordingPool:
 
 def test_sweep_starts_no_more_workers_than_chunks(capsys, monkeypatch):
     started = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(started, max_workers))
+    # cmd_sweep imports the pool class when it starts one, so patch it at its source
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(started, max_workers)
+    )
     base = ["sweep", "sparse-paving", "--n", "10", "--k", "5"]
     # (extra arguments, cases, workers started); chunks hold 16 lambdas,
     # and one chunk runs in-process without a pool

@@ -1,10 +1,16 @@
-"""Every module reads every name it imports.
+"""Every module reads every name it imports, and importing the package and
+its CLI loads none of the modules that only some commands read.
 
 The package's `__init__.py` is left out: its imports are the public API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import matroid_invariants
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,3 +61,29 @@ def test_unused_import_scan_sees_reads_and_misses(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == [(3, "j"), (4, "factorial")]
+
+
+# modules that no command needs at start-up: `sweep` imports the process pool
+# (with multiprocessing and logging) when it starts one, the report classes
+# are plain classes (no dataclasses, with inspect), and only interval
+# endpoints in `realroots` are fractions
+DEFERRED_MODULES = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "logging", "fractions")
+
+
+def test_importing_the_package_and_cli_loads_no_deferred_module():
+    # a fresh interpreter; the difference leaves out what `site` or a .pth file loads
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import matroid_invariants, matroid_invariants.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(matroid_invariants.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    added = proc.stdout.split()
+    assert "matroid_invariants.cli" in added
+    found = sorted(set(added) & set(DEFERRED_MODULES))
+    assert not found, "imported by matroid_invariants and its cli: " + ", ".join(found)

@@ -459,6 +459,13 @@ def test_gamma_entry_of_a_non_palindromic_polynomial():
     assert rep.to_json() == {"ok": False, "entries": [{"name": "chow", "poly": ["1", "2"], "gamma": None, "ok": False}]}
 
 
+def test_empty_gamma_report():
+    rep = invariants.GammaReport()
+    assert rep.entries == [] and rep.ok
+    assert rep.to_json() == {"ok": True, "entries": []}
+    assert invariants.GammaReport().entries is not rep.entries
+
+
 def test_hrs_identity():
     hrs_identity(3, 5)
     hrs_identity(4, 8)
