@@ -24,7 +24,11 @@ recursions scan no bases, build no lattice of a minor and share no
 interval table with the lattice engines.  The two semismall engines share
 one recursion, for uH or H, whose contraction factors are always uH.
 bv_deletion reads `tau` of a contraction off the P that its own recursion
-computes for it.
+computes for it.  Neither recursion builds a minor of rank at most 2: its
+lattice of flats is fixed by its rank and its number a of rank-1 flats, and
+`_low_rank` gives its four values (1, 1, 1, 1 in rank 0; uH = P = 1 and
+H = Z = 1 + x in rank 1; uH = 1 + x, H = 1 + (a+1)x + x^2, P = 1 and
+Z = 1 + ax + x^2 in rank 2).
 
 Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
 polynomial and characteristic polynomial vanish; the augmented Chow and
@@ -317,6 +321,24 @@ def _s_families(key, i):
     return out
 
 
+@lru_cache(maxsize=None)
+def _low_rank(k, a):
+    """(uH, H, P, Z) of a loopless matroid of rank k <= 2 with a rank-1
+    flats, whose lattice of flats those two numbers fix: all four are 1 in
+    rank 0; uH = P = 1 and H = Z = 1 + x in rank 1; uH = 1 + x,
+    H = 1 + (a+1)x + x^2, P = 1 and Z = 1 + ax + x^2 in rank 2."""
+    if k == 0:
+        return ONE, ONE, ONE, ONE
+    if k == 1:
+        return ONE, ONE + X, ONE, ONE + X
+    return ONE + X, Poly((1, a + 1, 1)), ONE, Poly((1, a, 1))
+
+
+def _atoms_in(levels, f):
+    """The number of rank-1 flats inside the flat f."""
+    return sum(1 for g in levels[1] if not g & ~f)
+
+
 # -- semi-small deletion engines ------------------------------------------------
 
 
@@ -338,33 +360,46 @@ def _semismall(key, aug, memo):
     """uH (aug false) or H (aug true) of a flat-set minor by
     f(M) = f(M - i) + x sum_F uH(M/(F+i)) f(M|F) over the flats F of
     `_s_families`: nonempty F for uH, every F for H.  memo is one dict per
-    polynomial, (uH, H)."""
+    polynomial, (uH, H).  A minor of rank at most 2 is read off `_low_rank`,
+    at entry and before a child is built, so no such key is made: M - i
+    keeps rank k, M/(F+i) has rank k - rk F - 1, M|F rank rk F and a free
+    matroid on c elements rank c."""
+    n, levels = key
+    k = len(levels) - 1
+    if k <= 2:
+        return _low_rank(k, len(levels[1]) if k else 0)[aug]
     table = memo[aug]
     val = table.get(key)
     if val is not None:
         return val
-    n = key[0]
-    if n == 0 or (n == 1 and not aug):
-        val = ONE  # uH of a lone coloop is 1; H takes the coloop rule, 1 + x
+    i = _smallest_non_coloop(key)
+    extra = ZERO
+    if i is None:
+        # free matroid: split off the last coloop; the minors by a c-subset
+        # of the rest are free on n - 1 - c and c elements
+        def free(c, aug):
+            return _low_rank(c, c)[aug] if c <= 2 else _semismall(_free(c), aug, memo)
+
+        n -= 1
+        acc = (ONE + X) * free(n, aug)
+        for c in range(0 if aug else 1, n):  # c = 0 is the F = {} term
+            extra = extra + comb(n, c) * free(n - c, False) * free(c, aug)
     else:
-        i = _smallest_non_coloop(key)
-        extra = ZERO
-        if i is None:
-            # free matroid: split off the last coloop; the minors by a
-            # c-subset of the rest are free on n - 1 - c and c elements
-            n -= 1
-            acc = (ONE + X) * _semismall(_free(n), aug, memo)
-            for c in range(0 if aug else 1, n):  # c = 0 is the F = {} term
-                con = comb(n, c) * _semismall(_free(n - c), False, memo)
-                extra = extra + con * _semismall(_free(c), aug, memo)
-        else:
-            bit = 1 << i
-            acc = _semismall(_delete(key, i), aug, memo)
-            for r, f in _s_families(key, i):
-                if f or aug:
+        bit = 1 << i
+        acc = _semismall(_delete(key, i), aug, memo)
+        for r, f in _s_families(key, i):
+            if f or aug:
+                c = k - r - 1
+                if c <= 2:
+                    con = _low_rank(c, 0)[0]  # uH does not read the atom count
+                else:
                     con = _semismall(_contract(key, f | bit, r + 1), False, memo)
-                    extra = extra + con * _semismall(_restrict(key, f, r), aug, memo)
-        val = acc + extra.shift(1)
+                if r <= 2:
+                    res = _low_rank(r, _atoms_in(levels, f) if r == 2 and aug else 0)[aug]
+                else:
+                    res = _semismall(_restrict(key, f, r), aug, memo)
+                extra = extra + con * res
+    val = acc + extra.shift(1)
     table[key] = val
     return val
 
@@ -610,36 +645,47 @@ def z_uniform(k, n):
 def _bv_pair(key, memo):
     """(P, Z) of a flat-set minor by the deletion recursion.  tau of each
     contraction M/(F+i) is the middle coefficient of its own P, from the
-    same recursion and memo: it has fewer elements, so the recursion ends."""
+    same recursion and memo: it has fewer elements, so the recursion ends.
+    As in `_semismall`, a minor of rank at most 2 is read off `_low_rank`
+    and its key is never built; M/i has rank k - 1."""
+    n, levels = key
+    k = len(levels) - 1
+    if k <= 2:
+        return _low_rank(k, len(levels[1]) if k else 0)[2:]
     val = memo.get(key)
     if val is not None:
         return val
-    n, levels = key
-    k = len(levels) - 1
-    if k == 0:
-        val = (ONE, ONE)
+    i = _smallest_non_coloop(key)
+    if i is None:
+        val = (ONE, (ONE + X) ** n)
     else:
-        i = _smallest_non_coloop(key)
-        if i is None:
-            val = (ONE, (ONE + X) ** n)
+        bit = 1 << i
+        p_del, z_del = _bv_pair(_delete(key, i), memo)
+        if bit not in levels[1]:  # M/i is loopless iff {i} is a flat
+            p_con = ZERO
+        elif k <= 3:
+            p_con = _low_rank(k - 1, 0)[2]
         else:
-            bit = 1 << i
-            p_del, z_del = _bv_pair(_delete(key, i), memo)
-            if bit in levels[1]:  # M/i is loopless iff {i} is a flat
-                p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
+            p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
+        p_acc, z_acc = ZERO, ZERO
+        for r, f in _s_families(key, i):
+            if (k - r) % 2:
+                continue  # tau of the even-rank contraction vanishes
+            c = k - r - 1
+            if c <= 2:
+                p_c = _low_rank(c, 0)[2]  # P does not read the atom count
             else:
-                p_con = ZERO
-            p_acc, z_acc = ZERO, ZERO
-            for r, f in _s_families(key, i):
-                if (k - r) % 2:
-                    continue  # tau of the even-rank contraction vanishes
-                t = _bv_pair(_contract(key, f | bit, r + 1), memo)[0].coeff((k - r - 2) // 2)
-                if t:
+                p_c = _bv_pair(_contract(key, f | bit, r + 1), memo)[0]
+            t = p_c.coeff((c - 1) // 2)
+            if t:
+                if r <= 2:
+                    p_r, z_r = _low_rank(r, _atoms_in(levels, f) if r == 2 else 0)[2:]
+                else:
                     p_r, z_r = _bv_pair(_restrict(key, f, r), memo)
-                    shift = (k - r) // 2
-                    p_acc = p_acc + (t * p_r).shift(shift)
-                    z_acc = z_acc + (t * z_r).shift(shift)
-            val = (p_del - p_con.shift(1) + p_acc, z_del + z_acc)
+                shift = (k - r) // 2
+                p_acc = p_acc + (t * p_r).shift(shift)
+                z_acc = z_acc + (t * z_r).shift(shift)
+        val = (p_del - p_con.shift(1) + p_acc, z_del + z_acc)
     memo[key] = val
     return val
 

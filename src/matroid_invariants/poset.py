@@ -162,7 +162,7 @@ class FlatsLattice(GradedPoset):
             found = {}
             for f in levels[r]:
                 covers[f] = ups = []
-                span = spans[f]
+                span = spans.pop(f)  # freed once its covers are found
                 rest = full & ~f
                 while rest:
                     low = rest & -rest

@@ -163,10 +163,16 @@ def test_aug_chow_convolutions_agree():
 # -- semismall -------------------------------------------------------------------------
 
 
-def test_semismall_hand_run_rank2():
-    # deleting a point of a triangle leaves a free pair; no proper flat F
-    # with F + i a flat contributes, so uH = uH(U_{2,2}) = 1 + x
-    assert chow_semismall(uniform(2, 3)) == Poly([1, 1])
+def test_semismall_hand_run_rank3():
+    # U(3,4) with i = 0: M - 0 is free on 3 elements, uH = A_3 = 1 + 4x + x^2.
+    # The nonempty flats F avoiding 0 with F + 0 a flat are the three points
+    # (a pair plus 0 spans E); M/(F+0) and M|F have rank 1 and uH 1, so
+    # each adds x: uH = 1 + 7x + x^2
+    key = invariants._flat_key(lattice_of_flats(uniform(3, 4)))
+    assert invariants._delete(key, 0) == invariants._free(3)
+    assert invariants._s_families(key, 0) == [(0, 0), (1, 0b10), (1, 0b100), (1, 0b1000)]
+    assert eulerian(3) == Poly([1, 4, 1])
+    assert chow_semismall(uniform(3, 4)) == chow_uniform(3, 4) == Poly([1, 7, 1])
 
 
 def test_semismall_boolean_coloop_route():
@@ -212,18 +218,61 @@ def _lattice_engine_values(m, lat):
             kl_poly(m, "epw", lat), z_poly(m, "conv_def", lat)]
 
 
+def _add_parallel(m, e):
+    """m plus a new last element parallel to e."""
+    n = m.n
+    copies = [b ^ (1 << e) | (1 << n) for b in m.bases if b >> e & 1]
+    return Matroid(n + 1, sorted(set(m.bases) | set(copies)))
+
+
+def _with_parallel_classes():
+    """U(2,3) ... U(4,6) with copies parallel to one, two and three of
+    their last elements, so their minors of rank <= 2 can have fewer atoms
+    than elements.  The recursions delete the least element first, and a
+    parallel class goes as soon as one of its elements is deleted."""
+    out = []
+    for k, n in ((2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)):
+        m = uniform(k, n)
+        for e in range(3):
+            m = _add_parallel(m, n - 1 - e)
+            out.append(m)
+    return out
+
+
 def test_deletion_engines_match_lattice_engines():
     # symmetric families, then inputs with little symmetry: sparse paving
-    # and graphic matroids past DELETION_ENGINE_LIMIT and the Tutte pair
+    # and graphic matroids past DELETION_ENGINE_LIMIT, the Tutte pair and
+    # matroids with parallel classes
     rng = random.Random(11)
     ms = [complete_graph(5), complete_graph(6), uniform(4, 9), uniform(5, 10),
           uniform(6, 12), boolean(6)]
     ms += [random_sparse_paving(rng, 11, 5, 20) for _ in range(2)]
-    ms += [random_graphic(rng, 7, 12), *equal_tutte_pair()]
+    ms += [random_graphic(rng, 7, 12), *equal_tutte_pair(), *_with_parallel_classes()]
     for m in ms:
         lat = lattice_of_flats(m)
         values = [engine(m, lat) for engine in DELETION_ENGINES]
         assert values == _lattice_engine_values(m, lat), m
+
+
+def test_deletion_recursions_build_no_key_of_rank_at_most_2(monkeypatch):
+    rng = random.Random(9)
+    # uniform(5, 8) has restrictions of rank 3; boolean(6) reaches `_free`
+    ms = (vamos(), uniform(4, 9), complete_graph(5), boolean(6), random_sparse_paving(rng, 9, 4, 12),
+          uniform(5, 8))
+    lats = [lattice_of_flats(m) for m in ms]
+    ranks = {}
+    for name in ("_contract", "_restrict", "_delete", "_free"):
+        def spy(*args, _name=name, _build=getattr(invariants, name)):
+            key = _build(*args)
+            ranks.setdefault(_name, []).append(len(key[1]) - 1)
+            return key
+
+        monkeypatch.setattr(invariants, name, spy)
+    for m, lat in zip(ms, lats):
+        values = [engine(m, lat) for engine in DELETION_ENGINES]
+        assert values == _lattice_engine_values(m, lat), m
+    assert sorted(ranks) == ["_contract", "_delete", "_free", "_restrict"]
+    assert {name: min(rs) for name, rs in ranks.items()} == dict.fromkeys(ranks, 3)
 
 
 def test_deletion_engines_use_no_interval_table(monkeypatch):
