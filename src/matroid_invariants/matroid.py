@@ -9,7 +9,8 @@ bases containing I by one AND per element of A; then rk(A) = |I|, and
 f lies outside cl(A) exactly when its column meets S, so no query scans the
 bases.  A caller that already holds S may pass it to `closure` as the
 subset's span and skip the growing: the lattice build carries S from each
-flat to the covers it finds.  Construction from an explicit bases list
+flat to the covers it finds, and tells the closure which elements can
+still join.  Construction from an explicit bases list
 validates the exchange axiom in full; matroids produced by the combinators
 (dual, minors, sums) skip re-validation where validity is inherited, while
 the relaxation of a stressed subset is validated again.  One relabelling
@@ -182,7 +183,7 @@ class Matroid:
         a = subset if isinstance(subset, int) else mask_of(subset)
         return self._spanning(a)[0]
 
-    def closure(self, subset, span=None):
+    def closure(self, subset, span=None, within=None):
         """Smallest flat containing the subset, as a mask.
 
         With I a basis of A and S the bases containing I, an element f lies
@@ -195,13 +196,27 @@ class Matroid:
         I is grown greedily (`_spanning`), |A| more ANDs.  A caller that
         knows S for a flat F and the basis I behind it gets S for F + e,
         e outside F, as S & cols[e]: I + e is independent and spans F + e.
+
+        `within`, when given, is a mask of the only elements that may join:
+        the caller guarantees cl(A) is inside A | within, and only the
+        columns of `within` are tested, one AND each.  The lattice build
+        passes the elements outside a flat F that no cover of F found so
+        far holds, since the covers of F partition E - F.
         """
         a = subset if isinstance(subset, int) else mask_of(subset)
         s = self._spanning(a)[1] if span is None else span
-        # an f in I meets S and is already in A; any other f of A misses S
-        for bit, col in zip(_BITS, self._columns()):
-            if not col & s:
-                a |= bit
+        cols = self._columns()
+        if within is None:
+            # an f in I meets S and is already in A; any other f of A misses S
+            for bit, col in zip(_BITS, cols):
+                if not col & s:
+                    a |= bit
+            return a
+        while within:
+            low = within & -within
+            within ^= low
+            if not cols[low.bit_length() - 1] & s:
+                a |= low
         return a
 
     def loops(self):

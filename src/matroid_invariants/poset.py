@@ -19,7 +19,8 @@ immutable apart from `_cache`, which holds, once first asked for:
   chi([x, y]) for each y in it.  One walk over the y > x fills the row:
   it sorts the z already done into mu-classes by rank and value, so each
   coefficient of chi([x, y]) is a few popcounts of `down_mask[y]` against
-  class masks.  A lookup finds y in `above[x]` by bisection on (rank, id);
+  class masks, and at rank gap 2 one popcount, the atom count.  A lookup
+  finds y in `above[x]` by bisection on (rank, id);
 - `chi_below`: the transpose of the rows, for the downward tables: for
   every z, the ids below z in (rank, id) order and the class of each
   [w, z];
@@ -132,10 +133,15 @@ class FlatsLattice(GradedPoset):
     Flats get ids by rank, then by mask.  The build is a breadth-first
     search by rank that uses the fact that the flats covering a flat F
     partition E - F (Oxley, Matroid Theory, section 1.7).  For each flat F
-    it takes `matroid.closure(F + e)` for an element e still to try; the
-    closure is the cover of F through e, and it strips that whole cover
-    from the elements still to try, so there is one `closure` call per
-    covering pair, and ranks come from the search level.
+    below the hyperplanes it takes `matroid.closure(F + e)` for an element
+    e still to try; the closure is the cover of F through e, and it strips
+    that whole cover from the elements still to try, so there is one
+    `closure` call per covering pair below the hyperplanes, and ranks come
+    from the search level.  The elements of F, e and the covers already
+    found cannot join cl(F + e), so each closure tests only the elements
+    still to try (its `within`).  The only cover of a hyperplane is E, so
+    the hyperplanes get it with no closure; for rank 1 the bottom is the
+    one hyperplane.
 
     Each closure gets its span from the search.  Let S_F be the mask of the
     bases that contain a fixed basis I of F, with I empty and S_F all
@@ -144,21 +150,27 @@ class FlatsLattice(GradedPoset):
     I + e, is a valid span for F + e and, since cl(F + e) has the same
     bases as F + e, for the cover cl(F + e) too.  A cover reached from
     several flats keeps the span of the first pair that found it; any of
-    them is valid.  So a closure is one AND of S with each of the
-    matroid's n basis-incidence columns, with no basis of F + e regrown
-    and no basis scanned.  The ranks and the covering pairs of ids then
-    make the `GradedPoset`.
+    them is valid.  So a closure is one AND of S with the basis-incidence
+    column of each element still to try, with no basis of F + e regrown
+    and no basis scanned.  A span is freed once its flat's covers are
+    found, and no hyperplane keeps one: uniform:7,20 (60461 flats, 38760 of
+    them hyperplanes) builds in about 7.0 s at a 230 MiB peak RSS on a
+    2-core x86 VM, against 10.9 s and 441 MiB with every hyperplane
+    searched.  The ranks and the covering pairs of ids then make the
+    `GradedPoset`.
     """
 
     def __init__(self, matroid):
         if not matroid.is_loopless():
             raise ValueError("the lattice of flats requires a loopless matroid")
         full = matroid.full_mask
+        k = matroid.rank
         cols = matroid._columns()
         levels = [[0]]
         spans = {0: (1 << len(matroid.bases)) - 1}  # flat of this level -> its span
         covers = {}  # flat -> the flats covering it
-        for r in range(matroid.rank):
+        for r in range(k - 1):  # the levels below the hyperplanes
+            keep = r < k - 2  # no hyperplane's span is read
             found = {}
             for f in levels[r]:
                 covers[f] = ups = []
@@ -166,13 +178,18 @@ class FlatsLattice(GradedPoset):
                 rest = full & ~f
                 while rest:
                     low = rest & -rest
+                    rest ^= low
                     t = span & cols[low.bit_length() - 1]
-                    g = matroid.closure(f | low, t)
+                    g = matroid.closure(f | low, t, rest)
                     rest &= ~g
                     ups.append(g)
-                    found.setdefault(g, t)
+                    found.setdefault(g, t if keep else None)
             levels.append(sorted(found))
             spans = found
+        if k:
+            for h in levels[k - 1]:
+                covers[h] = [full]
+            levels.append([full])
         flats = [f for flats_r in levels for f in flats_r]
         index = {f: i for i, f in enumerate(flats)}
         self.matroid = matroid
@@ -219,9 +236,15 @@ def _chi_row(p, x):
     the sum of the others.  The covers of x, the leading run of `above[x]`,
     all have chi = t - 1 and mu = -1, so they get that class in one step,
     and their mask, built in one pass over that run, is the one gap-1
-    mu-class.  Every y of a higher rank finds the classes below its rank
-    complete, so the (coefficient index, v, mask) terms are listed once per
-    rank and each y runs one loop over them."""
+    mu-class.  The y of rank gap 2, the next run, need no popcount sum: in
+    any graded poset [x, y] is x, its a atoms and y, with
+    a = |down[y] & covers|, so chi([x, y]) = t^2 - a t + (a - 1).  That run
+    looks its class up by a in a dict local to the row and builds one
+    gap-2 mu-class mask per a; a = 1 is a chain, mu = 0, and drops out.
+    Every y of a higher rank finds the classes below its rank complete, so
+    the (coefficient index, v, mask) terms are listed once per rank and each
+    y runs one loop over them.  Each run interns a class at its first y,
+    so the classes get their ids in the order of `above[x]`."""
     cache = p._cache
     rows = cache.get("chi_rows")
     if rows is None:
@@ -244,15 +267,22 @@ def _chi_row(p, x):
             break
         covers |= 1 << y
         n_covers += 1
-    key = (-1, 1)
-    cid = ids.get(key)
-    if cid is None:
-        cid = ids[key] = len(polys)
-        polys.append(Poly(key))
-    row += [cid] * n_covers
-    classes = [None, {-1: covers}]
-    d = 1
-    for y in above[n_covers:]:  # ascending rank
+    row += [_intern_chi(ids, polys, (-1, 1))] * n_covers
+    by_atoms = {}  # a -> the class of t^2 - a t + (a - 1)
+    masks = {}  # a -> the mask of the gap-2 y with a atoms below them
+    for y in above[n_covers:]:
+        if ranks[y] - rx != 2:
+            break
+        a = (down[y] & covers).bit_count()
+        cid = by_atoms.get(a)
+        if cid is None:
+            cid = by_atoms[a] = _intern_chi(ids, polys, (a - 1, -a, 1))
+            masks[a] = 0
+        masks[a] |= 1 << y
+        row.append(cid)
+    classes = [None, {-1: covers}, {a - 1: mask for a, mask in masks.items() if a != 1}]
+    d = 2
+    for y in above[len(row):]:  # ascending rank, gaps of 3 and more
         if ranks[y] - rx != d:  # classes[1..d] are complete
             classes.append({})
             d += 1
@@ -266,12 +296,22 @@ def _chi_row(p, x):
             cls = classes[d]
             cls[mu] = cls.get(mu, 0) | 1 << y
         key = tuple(graded)
-        cid = ids.get(key)
+        cid = ids.get(key)  # `_intern_chi` inlined: this runs once per pair
         if cid is None:
             cid = ids[key] = len(polys)
             polys.append(Poly(key))
         row.append(cid)
     return row
+
+
+def _intern_chi(ids, polys, key):
+    """The class id of the chi with coefficient tuple `key`, interned on
+    first sight."""
+    cid = ids.get(key)
+    if cid is None:
+        cid = ids[key] = len(polys)
+        polys.append(Poly(key))
+    return cid
 
 
 def _chi_below(p):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -197,6 +198,10 @@ def test_lattice_sizes():
 
 def test_lattice_matches_reference_build(small_corpus):
     cases = [(name, m) for name, m, _ in small_corpus] + stress_matroids()
+    cases += [("lattice-large-%d" % i, m) for i, m in enumerate(lattice_large_shapes())]
+    # the build has its own paths for rank 0 (no search), rank 1 (the bottom
+    # is the one hyperplane) and rank 2 (one search level)
+    assert {m.rank for _, m in cases} >= {0, 1, 2, 3}
     for name, m in cases:
         lat = lattice_of_flats(m)
         flats, ranks, by_rank, above = reference_lattice(m)
@@ -285,26 +290,57 @@ def test_closure_takes_the_span_of_a_covered_flat(corpus):
                 assert m.closure(g, span & cols[e]) == m.closure(g), (name, f, e)
 
 
-def test_lattice_build_closes_each_cover_once_with_a_span(small_corpus, monkeypatch):
+def test_closure_within_the_uncovered_elements_matches_the_basis_scan(corpus):
+    # the build's contract: for a flat F and e outside it, cl(F + e) lies in
+    # F + e together with the elements of E - F - e that no cover of F found
+    # before e holds, so the closure need test only those
+    cases = [(name, m) for name, m, _ in corpus if m.n <= 10 and m.is_loopless()]
+    cases += [("lattice-large-%d" % i, m) for i, m in enumerate(lattice_large_shapes())]
+    assert {m.n for _, m in cases} >= {0, 10, 11, 12}
+    for name, m in cases:
+        lat = lattice_of_flats(m)
+        for f in lat.flats:
+            covered = 0  # the union of the covers of f found so far
+            for e in set_of(m.full_mask & ~f):
+                if covered >> e & 1:
+                    continue
+                within = m.full_mask & ~f & ~(1 << e) & ~covered
+                g = m.closure(f | 1 << e, within=within)
+                assert g == scan_closure(m, f | 1 << e), (name, f, e)
+                covered |= g & ~f
+            assert covered == m.full_mask & ~f, (name, f)
+        for a in (0, m.full_mask, m.full_mask & 0b1011):
+            assert m.closure(a, within=0) == a, (name, a)
+    m = empty_matroid()
+    assert m.closure(0, within=0) == 0 and m.closure(0, within=m.full_mask) == 0
+
+
+def test_lattice_build_closes_each_cover_below_the_hyperplanes_once(small_corpus, monkeypatch):
     # the traced closure layer sees the whole cover search: one
-    # `Matroid.closure` call per covering pair, each given a span that
-    # agrees with the span-free closure
+    # `Matroid.closure` call per covering pair whose lower end is not a
+    # hyperplane, each given a span and a `within` mask and agreeing with
+    # the plain closure; every hyperplane's only cover is the top, found
+    # with no closure call
     calls = []
     closure = Matroid.closure
 
-    def traced(self, subset, span=None):
-        calls.append((self, subset, span))
-        return closure(self, subset, span)
+    def traced(self, subset, span=None, within=None):
+        calls.append((self, subset, span, within))
+        return closure(self, subset, span, within)
 
     monkeypatch.setattr(Matroid, "closure", traced)
     cases = [(name, m) for name, m, _ in small_corpus] + stress_matroids()
+    assert {m.rank for _, m in cases} >= {0, 1, 2, 3}
     for name, m in cases:
         calls.clear()
         lat = lattice_of_flats(m)
-        assert len(calls) == len(lat.to_json()["covers"]), name
-        for who, subset, span in calls:
-            assert who is m and span is not None, (name, subset)
-            assert closure(m, subset, span) == closure(m, subset), (name, subset)
+        hyperplanes = lat.by_rank[m.rank - 1] if m.rank else []
+        assert len(calls) == len(lat.to_json()["covers"]) - len(hyperplanes), name
+        for who, subset, span, within in calls:
+            assert who is m and span is not None and within is not None, (name, subset)
+            assert closure(m, subset, span, within) == closure(m, subset), (name, subset)
+        for h in hyperplanes:
+            assert [j for j in lat.above[h] if lat.ranks[j] == m.rank] == [lat.top], (name, h)
 
 
 def test_lattice_requires_loopless():
@@ -960,23 +996,69 @@ def test_gap_tables_fill_no_chi_rows(small_corpus):
         assert not {"chi_rows", "chi_ids", "chi_polys"} & set(p._cache), name
 
 
+# a graded poset, not a lattice, in which [0, 3] and [2, 5] are chains of
+# length 2 (one atom, mu = 0) with [0, 5] and [2, 6] of length 3 above them
+CHAIN_INTERVALS = {
+    "rank": [0, 1, 1, 2, 2, 3, 4],
+    "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 4], [3, 5], [4, 5], [5, 6]],
+}
+
+
 def row_test_posets(small_corpus):
     """Lattices of the small corpus, random posets, their relabelled
-    copies (ids out of rank order), `COUNTEREXAMPLE` and the one-point
-    poset, which has no interval with chi = t - 1."""
+    copies (ids out of rank order), `COUNTEREXAMPLE`, `CHAIN_INTERVALS`
+    and the one-point poset, which has no interval with chi = t - 1."""
     posets = [lattice_of_flats(m) for _, m, _ in small_corpus if m.rank]
     posets += random_graded_posets() + [GradedPoset.from_json(COUNTEREXAMPLE)]
     posets += [q for _, q, _ in relabelled_cases()] + [GradedPoset([0], [])]
+    posets.append(GradedPoset.from_json(CHAIN_INTERVALS))
     assert any(q.order != list(range(q.size)) for q in posets)
     return posets
+
+
+def chi_row_mu_classes(p, x):
+    """Fill the chi row of x and return the mu-classes `_chi_row` built for
+    it, one dict (mu -> id mask) per rank gap, read off its frame as it
+    returns."""
+    code, seen = poset._chi_row.__code__, []
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+
+        def on_return(frame, event, arg):
+            if event == "return":
+                seen.extend((frame.f_locals.get("classes") or [None])[1:])
+            return on_return
+
+        return on_return
+
+    tracer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        poset._chi_row(p, x)
+    finally:
+        sys.settrace(tracer)
+    return seen
 
 
 def test_chi_rows_hold_interned_class_ids(small_corpus):
     # a chi row lists a small int for each y in above[x], and the poset
     # keeps one Poly per distinct chi, shared by every interval with that
     # chi; on the small posets each class is checked against the
-    # zeta-matrix oracle
+    # zeta-matrix oracle.  No row builds a mask of the mu = 0 intervals, the
+    # gap-2 chains included
+    chain_gap = 0  # rows with a gap-2 chain and a gap-3 element above x
     for p in row_test_posets(small_corpus):
+        for x in range(p.size):
+            classes = chi_row_mu_classes(p, x)
+            assert all(0 not in cls for cls in classes), (p, x)
+            ranks = [p.ranks[y] - p.ranks[x] for y in p.above[x]]
+            chain_gap += 3 in ranks and any(
+                (p.down_mask[y] & mask_of(p.above[x][: ranks.count(1)])).bit_count() == 1
+                for y, gap in zip(p.above[x], ranks) if gap == 2
+            )
         inv = brute_mobius_matrix(p) if p.size <= 40 else None
         chis = {}
         for x in range(p.size):
@@ -998,6 +1080,7 @@ def test_chi_rows_hold_interned_class_ids(small_corpus):
                 assert polys[c] is interval_char_poly(p, x, y), (p, x, y)
         for key, cid in ids.items():
             assert polys[cid] is chis[key], (p, key)
+    assert chain_gap
 
 
 def test_chi_transpose_matches_the_rows(small_corpus):
