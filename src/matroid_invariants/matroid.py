@@ -188,8 +188,9 @@ class Matroid:
 
         With I a basis of A and S the bases containing I, an element f lies
         outside cl(A) exactly when I + f is independent, that is, when some
-        basis in S contains f.  So cl(A) is A together with every f whose
-        column misses S: n ANDs of columns, no scan of the bases.
+        basis in S contains f.  So cl(A) is A together with every f outside
+        A whose column misses S: one AND of a column per element tested, no
+        scan of the bases.
 
         `span`, when given, is such an S for the subset: the mask over
         basis ids of the bases containing some basis I of A.  Without it
@@ -197,21 +198,18 @@ class Matroid:
         knows S for a flat F and the basis I behind it gets S for F + e,
         e outside F, as S & cols[e]: I + e is independent and spans F + e.
 
-        `within`, when given, is a mask of the only elements that may join:
-        the caller guarantees cl(A) is inside A | within, and only the
-        columns of `within` are tested, one AND each.  The lattice build
-        passes the elements outside a flat F that no cover of F found so
-        far holds, since the covers of F partition E - F.
+        `within` is a mask of the only elements that may join: the caller
+        guarantees cl(A) is inside A | within, and only the columns of
+        `within` are tested, one AND each.  It defaults to E - A, every
+        element outside A.  The lattice build passes the elements outside
+        a flat F that no cover of F found so far holds, since the covers
+        of F partition E - F.
         """
         a = subset if isinstance(subset, int) else mask_of(subset)
         s = self._spanning(a)[1] if span is None else span
         cols = self._columns()
         if within is None:
-            # an f in I meets S and is already in A; any other f of A misses S
-            for bit, col in zip(_BITS, cols):
-                if not col & s:
-                    a |= bit
-            return a
+            within = self.full_mask & ~a
         while within:
             low = within & -within
             within ^= low

@@ -996,11 +996,15 @@ def test_gap_tables_fill_no_chi_rows(small_corpus):
         assert not {"chi_rows", "chi_ids", "chi_polys"} & set(p._cache), name
 
 
-# a graded poset, not a lattice, in which [0, 3] and [2, 5] are chains of
-# length 2 (one atom, mu = 0) with [0, 5] and [2, 6] of length 3 above them
+# a graded poset that is not a lattice (the atoms 1 and 2 have two minimal
+# upper bounds, 4 and 7) in which [0, 3] is a chain of length 2 (one atom,
+# mu = 0) with [0, 5] of length 3 above it
 CHAIN_INTERVALS = {
-    "rank": [0, 1, 1, 2, 2, 3, 4],
-    "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 4], [3, 5], [4, 5], [5, 6]],
+    "rank": [0, 1, 1, 2, 2, 3, 4, 2],
+    "covers": [
+        [0, 1], [0, 2], [1, 3], [1, 4], [2, 4], [1, 7], [2, 7],
+        [3, 5], [4, 5], [7, 5], [5, 6],
+    ],
 }
 
 
@@ -1053,6 +1057,7 @@ def test_chi_rows_hold_interned_class_ids(small_corpus):
     for p in row_test_posets(small_corpus):
         for x in range(p.size):
             classes = chi_row_mu_classes(p, x)
+            assert classes or not p.above[x], (p, x)  # the row was built here
             assert all(0 not in cls for cls in classes), (p, x)
             ranks = [p.ranks[y] - p.ranks[x] for y in p.above[x]]
             chain_gap += 3 in ranks and any(
