@@ -24,11 +24,11 @@ recursions scan no bases, build no lattice of a minor and share no
 interval table with the lattice engines.  The two semismall engines share
 one recursion, for uH or H, whose contraction factors are always uH.
 bv_deletion reads `tau` of a contraction off the P that its own recursion
-computes for it.  Neither recursion builds a minor of rank at most 2: its
-lattice of flats is fixed by its rank and its number a of rank-1 flats, and
-`_low_rank` gives its four values (1, 1, 1, 1 in rank 0; uH = P = 1 and
-H = Z = 1 + x in rank 1; uH = 1 + x, H = 1 + (a+1)x + x^2, P = 1 and
-Z = 1 + ax + x^2 in rank 2).
+computes for it.  Neither recursion builds a minor of rank at most 3: its
+lattice of flats is fixed by its rank and its numbers a and l of rank-1 and
+rank-2 flats, and `_low_rank` gives its four values and their sources (in
+rank 3, uH = 1 + (l+1)x + x^2, H = 1 + (a+l+1)(x + x^2) + x^3,
+P = 1 + (l-a)x and Z = 1 + l(x + x^2) + x^3).
 
 Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
 polynomial and characteristic polynomial vanish; the augmented Chow and
@@ -322,21 +322,32 @@ def _s_families(key, i):
 
 
 @lru_cache(maxsize=None)
-def _low_rank(k, a):
-    """(uH, H, P, Z) of a loopless matroid of rank k <= 2 with a rank-1
-    flats, whose lattice of flats those two numbers fix: all four are 1 in
-    rank 0; uH = P = 1 and H = Z = 1 + x in rank 1; uH = 1 + x,
-    H = 1 + (a+1)x + x^2, P = 1 and Z = 1 + ax + x^2 in rank 2."""
+def _low_rank(k, a=0, l=0):
+    """(uH, H, P, Z) of a loopless matroid of rank k <= 3 with a rank-1 and
+    l rank-2 flats, which fix its lattice of flats.  Rank 0: all four are 1;
+    rank 1: uH = P = 1, H = Z = 1 + x; rank 2: uH = 1 + x, P = 1,
+    H = 1 + (a+1)x + x^2, Z = 1 + ax + x^2.  Rank 3: uH = 1 + (l+1)x + x^2,
+    as dim A^1 = #(nonempty proper flats) - a + 1; P = 1 + (l-a)x, whose
+    linear coefficient is #hyperplanes - #atoms (Elias-Proudfoot-Wakefield);
+    H and Z are the sums over flats of x^rk F uH(M/F) and x^rk F P(M/F)."""
     if k == 0:
         return ONE, ONE, ONE, ONE
     if k == 1:
         return ONE, ONE + X, ONE, ONE + X
-    return ONE + X, Poly((1, a + 1, 1)), ONE, Poly((1, a, 1))
+    if k == 2:
+        return ONE + X, Poly((1, a + 1, 1)), ONE, Poly((1, a, 1))
+    b = a + l + 1
+    return Poly((1, l + 1, 1)), Poly((1, b, b, 1)), Poly((1, l - a)), Poly((1, l, l, 1))
 
 
-def _atoms_in(levels, f):
-    """The number of rank-1 flats inside the flat f."""
-    return sum(1 for g in levels[1] if not g & ~f)
+def _low_minor(levels, f, lo, c, up, uh=False):
+    """`_low_rank` of the minor M/f (up) or M|f of rank c <= 3, whose rank-1
+    and rank-2 flats are the flats of ranks lo and lo + 1 containing f, or
+    inside f.  uH reads no rank-1 count, so with uh true none is made."""
+    def count(s):
+        return len([g for g in levels[s] if (g & f if up else g | f) == f])
+
+    return _low_rank(c, count(lo) if c >= 2 and not uh else 0, count(lo + 1) if c == 3 else 0)
 
 
 # -- semi-small deletion engines ------------------------------------------------
@@ -360,14 +371,15 @@ def _semismall(key, aug, memo):
     """uH (aug false) or H (aug true) of a flat-set minor by
     f(M) = f(M - i) + x sum_F uH(M/(F+i)) f(M|F) over the flats F of
     `_s_families`: nonempty F for uH, every F for H.  memo is one dict per
-    polynomial, (uH, H).  A minor of rank at most 2 is read off `_low_rank`,
+    polynomial, (uH, H).  A minor of rank at most 3 is read off `_low_rank`,
     at entry and before a child is built, so no such key is made: M - i
     keeps rank k, M/(F+i) has rank k - rk F - 1, M|F rank rk F and a free
-    matroid on c elements rank c."""
+    matroid on c elements rank c.  Equal terms are summed once, by
+    (uH(M/(F+i)), f(M|F))."""
     n, levels = key
     k = len(levels) - 1
-    if k <= 2:
-        return _low_rank(k, len(levels[1]) if k else 0)[aug]
+    if k <= 3:
+        return _low_rank(k, *map(len, levels[1:k]))[aug]
     table = memo[aug]
     val = table.get(key)
     if val is not None:
@@ -378,7 +390,7 @@ def _semismall(key, aug, memo):
         # free matroid: split off the last coloop; the minors by a c-subset
         # of the rest are free on n - 1 - c and c elements
         def free(c, aug):
-            return _low_rank(c, c)[aug] if c <= 2 else _semismall(_free(c), aug, memo)
+            return _low_rank(c, c, comb(c, 2))[aug] if c <= 3 else _semismall(_free(c), aug, memo)
 
         n -= 1
         acc = (ONE + X) * free(n, aug)
@@ -387,18 +399,16 @@ def _semismall(key, aug, memo):
     else:
         bit = 1 << i
         acc = _semismall(_delete(key, i), aug, memo)
+        terms = Counter()
         for r, f in _s_families(key, i):
             if f or aug:
-                c = k - r - 1
-                if c <= 2:
-                    con = _low_rank(c, 0)[0]  # uH does not read the atom count
-                else:
-                    con = _semismall(_contract(key, f | bit, r + 1), False, memo)
-                if r <= 2:
-                    res = _low_rank(r, _atoms_in(levels, f) if r == 2 and aug else 0)[aug]
-                else:
-                    res = _semismall(_restrict(key, f, r), aug, memo)
-                extra = extra + con * res
+                c, g = k - r - 1, f | bit
+                con = (_low_minor(levels, g, r + 2, c, True, True)[0] if c <= 3
+                       else _semismall(_contract(key, g, r + 1), False, memo))
+                res = (_low_minor(levels, f, 1, r, False, not aug)[aug] if r <= 3
+                       else _semismall(_restrict(key, f, r), aug, memo))
+                terms[con, res] += 1
+        extra = sum((t * con * res for (con, res), t in terms.items()), ZERO)
     val = acc + extra.shift(1)
     table[key] = val
     return val
@@ -646,12 +656,13 @@ def _bv_pair(key, memo):
     """(P, Z) of a flat-set minor by the deletion recursion.  tau of each
     contraction M/(F+i) is the middle coefficient of its own P, from the
     same recursion and memo: it has fewer elements, so the recursion ends.
-    As in `_semismall`, a minor of rank at most 2 is read off `_low_rank`
-    and its key is never built; M/i has rank k - 1."""
+    As in `_semismall`, a minor of rank at most 3 is read off `_low_rank`
+    and its key is never built; M/i has rank k - 1.  Equal terms are summed
+    once, by (shift, P(M|F), Z(M|F)) with their tau added."""
     n, levels = key
     k = len(levels) - 1
-    if k <= 2:
-        return _low_rank(k, len(levels[1]) if k else 0)[2:]
+    if k <= 3:
+        return _low_rank(k, *map(len, levels[1:k]))[2:]
     val = memo.get(key)
     if val is not None:
         return val
@@ -663,28 +674,23 @@ def _bv_pair(key, memo):
         p_del, z_del = _bv_pair(_delete(key, i), memo)
         if bit not in levels[1]:  # M/i is loopless iff {i} is a flat
             p_con = ZERO
-        elif k <= 3:
-            p_con = _low_rank(k - 1, 0)[2]
+        elif k <= 4:
+            p_con = _low_minor(levels, bit, 2, k - 1, True)[2]
         else:
             p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
-        p_acc, z_acc = ZERO, ZERO
+        terms = Counter()
         for r, f in _s_families(key, i):
             if (k - r) % 2:
                 continue  # tau of the even-rank contraction vanishes
-            c = k - r - 1
-            if c <= 2:
-                p_c = _low_rank(c, 0)[2]  # P does not read the atom count
-            else:
-                p_c = _bv_pair(_contract(key, f | bit, r + 1), memo)[0]
+            c, g = k - r - 1, f | bit
+            p_c = (_low_minor(levels, g, r + 2, c, True)[2] if c <= 3
+                   else _bv_pair(_contract(key, g, r + 1), memo)[0])
             t = p_c.coeff((c - 1) // 2)
             if t:
-                if r <= 2:
-                    p_r, z_r = _low_rank(r, _atoms_in(levels, f) if r == 2 else 0)[2:]
-                else:
-                    p_r, z_r = _bv_pair(_restrict(key, f, r), memo)
-                shift = (k - r) // 2
-                p_acc = p_acc + (t * p_r).shift(shift)
-                z_acc = z_acc + (t * z_r).shift(shift)
+                terms[(k - r) // 2, _low_minor(levels, f, 1, r, False)[2:] if r <= 3
+                      else _bv_pair(_restrict(key, f, r), memo)] += t
+        p_acc = sum(((t * p).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
+        z_acc = sum(((t * z).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
         val = (p_del - p_con.shift(1) + p_acc, z_del + z_acc)
     memo[key] = val
     return val

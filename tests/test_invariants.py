@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -163,16 +164,26 @@ def test_aug_chow_convolutions_agree():
 # -- semismall -------------------------------------------------------------------------
 
 
-def test_semismall_hand_run_rank3():
-    # U(3,4) with i = 0: M - 0 is free on 3 elements, uH = A_3 = 1 + 4x + x^2.
-    # The nonempty flats F avoiding 0 with F + 0 a flat are the three points
-    # (a pair plus 0 spans E); M/(F+0) and M|F have rank 1 and uH 1, so
-    # each adds x: uH = 1 + 7x + x^2
-    key = invariants._flat_key(lattice_of_flats(uniform(3, 4)))
-    assert invariants._delete(key, 0) == invariants._free(3)
-    assert invariants._s_families(key, 0) == [(0, 0), (1, 0b10), (1, 0b100), (1, 0b1000)]
-    assert eulerian(3) == Poly([1, 4, 1])
-    assert chow_semismall(uniform(3, 4)) == chow_uniform(3, 4) == Poly([1, 7, 1])
+def test_semismall_hand_run_rank4():
+    # U(4,5) with i = 0: M - 0 is free on 4 elements, uH = A_4 = 1 + 11x + 11x^2 + x^3.
+    # The nonempty flats F avoiding 0 with F + 0 a flat are the 4 points and
+    # the 6 pairs (a triple plus 0 spans E).  A point leaves M/(F+0) of rank 2
+    # and M|F of rank 1, a pair the reverse, so each term is (1 + x) * 1 and
+    # uH = A_4 + 10x(1 + x) = 1 + 21x + 21x^2 + x^3
+    key = invariants._flat_key(lattice_of_flats(uniform(4, 5)))
+    assert invariants._delete(key, 0) == invariants._free(4)
+    assert eulerian(4) == Poly([1, 11, 11, 1])
+    assert invariants._semismall(invariants._free(4), False, ({}, {})) == eulerian(4)
+    families = invariants._s_families(key, 0)
+    points = [(1, 1 << j) for j in range(1, 5)]
+    pairs = [(2, 1 << a | 1 << b) for a, b in combinations(range(1, 5), 2)]
+    assert sorted(families) == sorted([(0, 0)] + points + pairs)
+    levels = key[1]
+    for r, f in points + pairs:
+        con = invariants._low_minor(levels, f | 1, r + 2, 3 - r, True)[0]
+        res = invariants._low_minor(levels, f, 1, r, False)[0]
+        assert con * res == ONE + X, f
+    assert chow_semismall(uniform(4, 5)) == chow_uniform(4, 5) == Poly([1, 21, 21, 1])
 
 
 def test_semismall_boolean_coloop_route():
@@ -227,7 +238,7 @@ def _add_parallel(m, e):
 
 def _with_parallel_classes():
     """U(2,3) ... U(4,6) with copies parallel to one, two and three of
-    their last elements, so their minors of rank <= 2 can have fewer atoms
+    their last elements, so their minors of rank <= 3 can have fewer atoms
     than elements.  The recursions delete the least element first, and a
     parallel class goes as soon as one of its elements is deleted."""
     out = []
@@ -254,11 +265,11 @@ def test_deletion_engines_match_lattice_engines():
         assert values == _lattice_engine_values(m, lat), m
 
 
-def test_deletion_recursions_build_no_key_of_rank_at_most_2(monkeypatch):
+def test_deletion_recursions_build_no_key_of_rank_at_most_3(monkeypatch):
     rng = random.Random(9)
-    # uniform(5, 8) has restrictions of rank 3; boolean(6) reaches `_free`
+    # uniform(6, 9) has restrictions of rank 4; boolean(6) reaches `_free`
     ms = (vamos(), uniform(4, 9), complete_graph(5), boolean(6), random_sparse_paving(rng, 9, 4, 12),
-          uniform(5, 8))
+          uniform(5, 8), uniform(6, 9))
     lats = [lattice_of_flats(m) for m in ms]
     ranks = {}
     for name in ("_contract", "_restrict", "_delete", "_free"):
@@ -272,7 +283,37 @@ def test_deletion_recursions_build_no_key_of_rank_at_most_2(monkeypatch):
         values = [engine(m, lat) for engine in DELETION_ENGINES]
         assert values == _lattice_engine_values(m, lat), m
     assert sorted(ranks) == ["_contract", "_delete", "_free", "_restrict"]
-    assert {name: min(rs) for name, rs in ranks.items()} == dict.fromkeys(ranks, 3)
+    assert {name: min(rs) for name, rs in ranks.items()} == dict.fromkeys(ranks, 4)
+
+
+def test_low_rank_closed_forms(corpus):
+    # every loopless rank-3 matroid of the corpus, seeded rank-3 sparse
+    # paving matroids and matroids with parallel classes
+    rng = random.Random(13)
+    ms = [m for _, m, _ in corpus if m.rank == 3 and m.is_loopless()]
+    ms += [random_sparse_paving(rng, n, 3, 12) for n in (5, 6, 7, 8, 9) for _ in range(2)]
+    ms += [m for m in _with_parallel_classes() if m.rank == 3]
+    assert len(ms) >= 30
+    for m in ms:
+        lat = lattice_of_flats(m)
+        a, l = (len(lat.by_rank[r]) for r in (1, 2))
+        assert list(invariants._low_rank(3, a, l)) == _lattice_engine_values(m, lat), m
+
+
+def test_low_minor_reads_the_key_counts(corpus):
+    # the counts of a minor of rank <= 3, read off its parent's key, are
+    # those of the key that `_contract` or `_restrict` would build
+    for m in _minor_stress(corpus):
+        lat = lattice_of_flats(m)
+        key = invariants._flat_key(lat)
+        for f, r in zip(lat.flats, lat.ranks):
+            for up, c, lo, build in ((True, m.rank - r, r + 1, invariants._contract),
+                                     (False, r, 1, invariants._restrict)):
+                if c <= 3:
+                    levels = build(key, f, r)[1]
+                    expected = invariants._low_rank(c, *map(len, levels[1:c]))
+                    assert invariants._low_minor(key[1], f, lo, c, up) == expected, (m, f, up)
+                    assert invariants._low_minor(key[1], f, lo, c, up, True)[0] == expected[0]
 
 
 def test_deletion_engines_use_no_interval_table(monkeypatch):
