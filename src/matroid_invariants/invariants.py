@@ -30,10 +30,12 @@ rank-2 flats, and `_low_rank` gives its four values and their sources (in
 rank 3, uH = 1 + (l+1)x + x^2, H = 1 + (a+l+1)(x + x^2) + x^3,
 P = 1 + (l-a)x and Z = 1 + l(x + x^2) + x^3).
 
-Conventions for matroids with loops: the Chow polynomial, Kazhdan-Lusztig
-polynomial and characteristic polynomial vanish; the augmented Chow and
-Z-polynomials are those of the matroid with its loops deleted, and a
-lattice passed along with such a matroid is that of its loopless core.
+Conventions for matroids with loops, one rule applied in `compute_invariant`:
+uH and P are 0 with loops before any method runs; every other engine and
+every applicability test sees the loopless core.  So H and Z are those of
+the matroid with its loops deleted, and a lattice passed along with such a
+matroid is that of its loopless core.  The characteristic polynomial
+vanishes with loops too.
 
 Method identifiers (stable strings, also used by the CLI), in the order of
 the `METHODS` registry:
@@ -75,7 +77,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .matroid import squeeze, uniform
@@ -106,7 +108,7 @@ from .poset import (
     rank_sum,
 )
 
-DELETION_ENGINE_LIMIT = 9  # semismall / bv_deletion are exercised up to here
+DELETION_ENGINE_LIMIT = 9  # semismall / bv_deletion are listed up to a loopless core this size
 
 
 def _loopless_core(m):
@@ -138,16 +140,16 @@ def chow_chains(m, lattice=None):
     """Chow polynomial as a sum over chains of flats starting at the empty
     set, each chain weighted by the product of x(1-x^(gap-1))/(1-x) over its
     rank gaps."""
-    if not m.is_loopless():
-        return ZERO
-    lat = _lat(m, lattice)
-    return _chain_table(lat)[lat.bottom]
+    return compute_invariant(m, "chow", "chains", None, lattice)
 
 
 def aug_chow_chains(m, lattice=None):
     """Augmented Chow polynomial: 1 plus a sum over chains of nonempty
     flats, with leading factor x + ... + x^rk(F0)."""
-    lat = _lat(m, lattice)
+    return compute_invariant(m, "augchow", "chains", None, lattice)
+
+
+def _aug_chow_chains(lat):
     counts = Counter(zip(lat.ranks, _chain_table(lat)))
     return ONE + sum((ones(r).shift(1) * v * c for (r, v), c in counts.items() if r), ZERO)
 
@@ -159,14 +161,13 @@ def _chibar_kernel(lat):
     return lambda x, y: interval_chibar(lat, x, y).coeffs
 
 
-def _mobius_kernel(lat):
-    """mu(x, y)(1 + ... + x^(rk y - rk x))."""
+def _mobius_table(lat, name, upward):
+    """-sum of mu(x, y)(1 + ... + x^(rk y - rk x)) times the table at the
+    far end, over the intervals [x, y] at each flat, going up or down."""
     ranks = lat.ranks
-    return lambda x, y: (mobius(lat, x, y),) * (ranks[y] - ranks[x] + 1)
-
-
-def _negate(z, s):
-    return -s
+    return interval_dp(
+        lat, name, upward, lambda x, y: (mobius(lat, x, y),) * (ranks[y] - ranks[x] + 1), lambda z, s: -s,
+    )
 
 
 def _chow_upper_table(lat):
@@ -177,43 +178,37 @@ def _chow_upper_table(lat):
 
 def chow_char_conv(m, lattice=None):
     """Chow polynomial by the reduced-characteristic-polynomial convolution."""
-    if not m.is_loopless():
-        return ZERO
-    lat = _lat(m, lattice)
-    return _chow_upper_table(lat)[lat.bottom]
+    return compute_invariant(m, "chow", "char_conv", None, lattice)
 
 
 def chow_intrinsic(m, lattice=None):
     """Chow polynomial by the intrinsic symmetric-decomposition recursion."""
-    if not m.is_loopless():
-        return ZERO
-    return kls_uH_general(_lat(m, lattice))
+    return compute_invariant(m, "chow", "intrinsic", None, lattice)
 
 
 def aug_chow_intrinsic(m, lattice=None):
     """Augmented Chow polynomial by the intrinsic recursion."""
-    return kls_H_general(_lat(m, lattice))
+    return compute_invariant(m, "augchow", "intrinsic", None, lattice)
 
 
 def chow_incidence_inv(m, lattice=None):
     """Chow polynomial by the two-sided-inverse formula
     uH_M = sum_{F != E} uH(M|F) * chibar(M/F), run as a DP over lower
     intervals."""
-    if not m.is_loopless():
-        return ZERO
-    lat = _lat(m, lattice)
-    return interval_dp(lat, "chow_lower", False, _chibar_kernel(lat))[lat.top]
+    return compute_invariant(m, "chow", "incidence_inv", None, lattice)
 
 
 def aug_chow_contraction_conv(m, lattice=None):
     """H_M = sum over flats of x^rk(F) * uH(M/F)."""
-    lat = _lat(m, lattice)
-    return rank_sum(lat, _chow_upper_table(lat))
+    return compute_invariant(m, "augchow", "contraction_conv", None, lattice)
 
 
 def aug_chow_alt_conv(m, lattice=None):
     """H_M = 1 + x * sum over proper flats of uH(M/F)."""
-    lat = _lat(m, lattice)
+    return compute_invariant(m, "augchow", "alt_conv", None, lattice)
+
+
+def _aug_chow_alt_conv(lat):
     table = _chow_upper_table(lat)
     counts = Counter(v for f, v in enumerate(table) if f != lat.top)
     return ONE + sum((v * c for v, c in counts.items()), ZERO).shift(1)
@@ -221,14 +216,12 @@ def aug_chow_alt_conv(m, lattice=None):
 
 def aug_chow_mobius_conv(m, lattice=None):
     """H_M = -sum over nonempty flats of mu(0, F)(1 + ... + x^rk(F)) H(M/F)."""
-    lat = _lat(m, lattice)
-    return interval_dp(lat, "aug_upper_mobius", True, _mobius_kernel(lat), _negate)[lat.bottom]
+    return compute_invariant(m, "augchow", "mobius_conv", None, lattice)
 
 
 def aug_chow_incidence_inv(m, lattice=None):
     """H_M = -sum_{F != E} H(M|F) * mu(F, E)(1 + ... + x^(rk M - rk F))."""
-    lat = _lat(m, lattice)
-    return interval_dp(lat, "aug_lower_mobius", False, _mobius_kernel(lat), _negate)[lat.top]
+    return compute_invariant(m, "augchow", "incidence_inv", None, lattice)
 
 
 # -- flat-set minors ------------------------------------------------------------
@@ -357,14 +350,12 @@ def chow_semismall(m, lattice=None):
     """Chow polynomial by the quadratic deletion recursion coming from the
     semi-small decomposition; the all-coloop (free matroid) case uses the
     coloop variant of the decomposition."""
-    if not m.is_loopless():
-        return ZERO
-    return _semismall(_flat_key(_lat(m, lattice)), False, ({}, {}))
+    return compute_invariant(m, "chow", "semismall", None, lattice)
 
 
 def aug_chow_semismall(m, lattice=None):
     """Augmented Chow polynomial by the semi-small deletion recursion."""
-    return _semismall(_flat_key(_lat(m, lattice)), True, ({}, {}))
+    return compute_invariant(m, "augchow", "semismall", None, lattice)
 
 
 def _semismall(key, aug, memo):
@@ -547,24 +538,14 @@ def aug_chow_paving(k, n, counts):
     return _paving_form(aug_chow_uniform, aug_chow_uniform_coloop, k, n, counts)
 
 
-def _of_paving(form, m):
-    """`form` of a loopless paving matroid, from its stressed hyperplane
-    counts; 1 in rank 0."""
-    if m.rank == 0:
-        return ONE
-    if not m.is_paving():
-        raise ValueError("matroid is not paving")
-    return form(m.rank, m.n, m.stressed_hyperplane_counts())
-
-
 def chow_of_paving(m):
     """Fast path: uH of a paving matroid via its stressed hyperplane counts."""
-    return _of_paving(chow_paving, m) if m.is_loopless() else ZERO
+    return compute_invariant(m, "chow", "paving")
 
 
 def aug_chow_of_paving(m):
     """Fast path: H of a matroid whose loopless core is paving."""
-    return _of_paving(aug_chow_paving, _loopless_core(m))
+    return compute_invariant(m, "augchow", "paving")
 
 
 # -- closed form: braid matroids ---------------------------------------------------
@@ -699,14 +680,12 @@ def _bv_pair(key, memo):
 def kl_bv_deletion(m, lattice=None):
     """P_M by the deletion recursion
     P_M = P(M-i) - x P(M/i) + sum_{F} tau(M/(F+i)) x^((k-rk F)/2) P(M|F)."""
-    if not m.is_loopless():
-        return ZERO
-    return _bv_pair(_flat_key(_lat(m, lattice)), {})[0]
+    return compute_invariant(m, "kl", "bv_deletion", None, lattice)
 
 
 def z_bv_deletion(m, lattice=None):
     """Z_M by the deletion recursion (same shape, without the -x P(M/i) term)."""
-    return _bv_pair(_flat_key(_lat(m, lattice)), {})[1]
+    return compute_invariant(m, "z", "bv_deletion", None, lattice)
 
 
 # -- certification ------------------------------------------------------------------
@@ -848,11 +827,11 @@ def hrs_identity(k, n):
 # -- cross-method reports --------------------------------------------------------------
 
 
-def _has_uniform_plus_coloop_form(m):
-    """(k, n) when m's loopless core is U_{k,n} plus a coloop, else None.
-    With two coloops, deleting one leaves a coloop, so the rest is uniform
-    only when it is free; then any coloop answers, so the lowest is tried."""
-    core = _loopless_core(m)
+def _has_uniform_plus_coloop_form(core, braid_n=None):
+    """(k, n) when the loopless matroid core is U_{k,n} plus a coloop, else
+    None, so it is also coloop_closed's applicability test.  With two
+    coloops, deleting one leaves a coloop, so the rest is uniform only when
+    it is free; then any coloop answers, so the lowest is tried."""
     coloops = core.coloops()
     if not coloops:
         return None
@@ -862,121 +841,135 @@ def _has_uniform_plus_coloop_form(m):
 
 # -- the method registry ----------------------------------------------------------
 #
-# METHODS[kind][method] = (engine, applies).  `engine(m, lattice, braid_n)`
-# computes the method and raises ValueError where it cannot; only
-# `compute_invariant` calls it, and `kl_poly`, `z_poly` and the reports go
-# through that.  `applicable_methods` lists a method when `applies` is None
-# or `applies(m, braid_n)` holds.  Each kind's methods are in the canonical
-# order of the reports.
+# LATTICE_METHODS[kind][method] = (engine, applies) with `engine(lat)` run on
+# the lattice of flats of the loopless core, and CLOSED_FORMS[kind][method] =
+# (engine, applies) with `engine(core, braid_n)` run on the loopless core
+# itself.  METHODS merges the two, lattice engines first, in the canonical
+# order of the reports.  An engine raises ValueError where it cannot answer.
+# Only `compute_invariant` runs one, and each public per-method function is
+# a call of it.  The loop rule is applied there and nowhere else: uH and P
+# are 0 with loops before any method runs (VANISH_WITH_LOOPS); every other
+# engine and every applicability test sees the loopless core.
+# `applicable_methods` lists a method when `applies` is None or
+# `applies(core, braid_n)` holds.
+
+VANISH_WITH_LOOPS = ("chow", "kl")
 
 
-def _uniform_form(form, method):
-    def engine(m, lattice, braid_n):
-        if not m.is_uniform():
-            raise ValueError("%s needs a uniform matroid" % method)
-        return form(m.rank, m.n)
-
-    return engine
+def _uniform_form(form, method, core, braid_n):
+    if not core.is_uniform():
+        raise ValueError("%s needs a uniform matroid" % method)
+    return form(core.rank, core.n)
 
 
-def _braid_closed(m, lattice, braid_n):
+def _of_paving(form, core, braid_n):
+    """`form` of a paving core from its stressed hyperplane counts; 1 in rank 0."""
+    if core.rank == 0:
+        return ONE
+    if not core.is_paving():
+        raise ValueError("matroid is not paving")
+    return form(core.rank, core.n, core.stressed_hyperplane_counts())
+
+
+def _braid_closed(core, braid_n):
     if braid_n is None:
         raise ValueError("braid_closed needs the number of vertices")
     return chow_braid(braid_n)
 
 
-def _coloop_closed(m, lattice, braid_n):
-    form = _has_uniform_plus_coloop_form(m)
+def _coloop_closed(core, braid_n):
+    form = _has_uniform_plus_coloop_form(core)
     if form is None:
         raise ValueError("coloop_closed needs a uniform matroid plus a coloop")
     return aug_chow_uniform_coloop(*form)
 
 
-def _kl_epw(m, lattice, braid_n):
-    lat = _lat(m, lattice)
-    return _kl_upper_table(lat)[lat.bottom]
+def _small(core, braid_n):
+    return core.n <= DELETION_ENGINE_LIMIT
 
 
-def _z_conv_def(m, lattice, braid_n):
-    lat = _lat(m, lattice)
-    return rank_sum(lat, _kl_upper_table(lat))
+def _uniform(core, braid_n):
+    return core.is_uniform()
 
 
-def _small(m, braid_n):
-    return m.n <= DELETION_ENGINE_LIMIT
+def _paving(core, braid_n):
+    return core.rank >= 1 and core.is_paving()
 
 
-def _uniform(m, braid_n):
-    return m.is_uniform()
-
-
-def _paving(m, braid_n):
-    return m.is_loopless() and m.rank >= 1 and m.is_paving()
-
-
-METHODS = {
+LATTICE_METHODS = {
     "chow": {
-        "chains": (lambda m, lat, b: chow_chains(m, lat), None),
-        "char_conv": (lambda m, lat, b: chow_char_conv(m, lat), None),
-        "intrinsic": (lambda m, lat, b: chow_intrinsic(m, lat), None),
-        "incidence_inv": (lambda m, lat, b: chow_incidence_inv(m, lat), None),
-        "semismall": (lambda m, lat, b: chow_semismall(m, lat), _small),
-        "uniform_closed": (_uniform_form(chow_uniform, "uniform_closed"), _uniform),
-        "paving": (lambda m, lat, b: chow_of_paving(m), _paving),
-        "braid_closed": (_braid_closed, lambda m, braid_n: braid_n is not None),
+        "chains": (lambda lat: _chain_table(lat)[lat.bottom], None),
+        "char_conv": (lambda lat: _chow_upper_table(lat)[lat.bottom], None),
+        "intrinsic": (kls_uH_general, None),
+        "incidence_inv": (lambda lat: interval_dp(lat, "chow_lower", False, _chibar_kernel(lat))[lat.top], None),
+        "semismall": (lambda lat: _semismall(_flat_key(lat), False, ({}, {})), _small),
     },
     "augchow": {
-        "chains": (lambda m, lat, b: aug_chow_chains(m, lat), None),
-        "contraction_conv": (lambda m, lat, b: aug_chow_contraction_conv(m, lat), None),
-        "alt_conv": (lambda m, lat, b: aug_chow_alt_conv(m, lat), None),
-        "mobius_conv": (lambda m, lat, b: aug_chow_mobius_conv(m, lat), None),
-        "intrinsic": (lambda m, lat, b: aug_chow_intrinsic(m, lat), None),
-        "incidence_inv": (lambda m, lat, b: aug_chow_incidence_inv(m, lat), None),
-        "semismall": (lambda m, lat, b: aug_chow_semismall(m, lat), _small),
-        "uniform_closed": (_uniform_form(aug_chow_uniform, "uniform_closed"), _uniform),
-        "paving": (lambda m, lat, b: aug_chow_of_paving(m), _paving),
-        "coloop_closed": (
-            _coloop_closed,
-            lambda m, braid_n: _has_uniform_plus_coloop_form(m) is not None,
-        ),
+        "chains": (_aug_chow_chains, None),
+        "contraction_conv": (lambda lat: rank_sum(lat, _chow_upper_table(lat)), None),
+        "alt_conv": (_aug_chow_alt_conv, None),
+        "mobius_conv": (lambda lat: _mobius_table(lat, "aug_upper_mobius", True)[lat.bottom], None),
+        "intrinsic": (kls_H_general, None),
+        "incidence_inv": (lambda lat: _mobius_table(lat, "aug_lower_mobius", False)[lat.top], None),
+        "semismall": (lambda lat: _semismall(_flat_key(lat), True, ({}, {})), _small),
     },
-    "kl": {  # compute_invariant answers 0 for matroids with loops
-        "epw": (_kl_epw, None),
-        "intrinsic": (lambda m, lat, b: kls_P_general(_lat(m, lat)), None),
-        "bv_deletion": (lambda m, lat, b: kl_bv_deletion(m, lat), _small),
-        "uniform_fast": (_uniform_form(kl_uniform, "uniform_fast"), _uniform),
+    "kl": {
+        "epw": (lambda lat: _kl_upper_table(lat)[lat.bottom], None),
+        "intrinsic": (kls_P_general, None),
+        "bv_deletion": (lambda lat: _bv_pair(_flat_key(lat), {})[0], _small),
     },
     "z": {
-        "conv_def": (_z_conv_def, None),
-        "bv_deletion": (lambda m, lat, b: z_bv_deletion(m, lat), _small),
+        "conv_def": (lambda lat: rank_sum(lat, _kl_upper_table(lat)), None),
+        "bv_deletion": (lambda lat: _bv_pair(_flat_key(lat), {})[1], _small),
     },
 }
+CLOSED_FORMS = {
+    "chow": {
+        "uniform_closed": (partial(_uniform_form, chow_uniform, "uniform_closed"), _uniform),
+        "paving": (partial(_of_paving, chow_paving), _paving),
+        "braid_closed": (_braid_closed, lambda core, braid_n: braid_n is not None),
+    },
+    "augchow": {
+        "uniform_closed": (partial(_uniform_form, aug_chow_uniform, "uniform_closed"), _uniform),
+        "paving": (partial(_of_paving, aug_chow_paving), _paving),
+        "coloop_closed": (_coloop_closed, _has_uniform_plus_coloop_form),
+    },
+    "kl": {"uniform_fast": (partial(_uniform_form, kl_uniform, "uniform_fast"), _uniform)},
+    "z": {},
+}
+METHODS = {kind: {**LATTICE_METHODS[kind], **CLOSED_FORMS[kind]} for kind in LATTICE_METHODS}
 KINDS = {kind: tuple(methods) for kind, methods in METHODS.items()}
 
 
 def applicable_methods(m, kind, braid_n=None):
-    """Method ids applicable to a given matroid, in canonical order."""
+    """Method ids applicable to a given matroid, in canonical order; each
+    test sees its loopless core."""
     if kind not in METHODS:
         raise ValueError("unknown kind %r" % kind)
+    core = _loopless_core(m)
     return [
         name
         for name, (_, applies) in METHODS[kind].items()
-        if applies is None or applies(m, braid_n)
+        if applies is None or applies(core, braid_n)
     ]
 
 
 def compute_invariant(m, kind, method, braid_n=None, lattice=None):
     """Run one named method; this is the one place where a registry engine
-    runs.  Raises ValueError for an unknown kind or method, or when the
-    method does not apply.  A lattice passed along with a matroid that has
-    loops is that of its loopless core."""
+    runs, and the one place where loops are handled.  Raises ValueError for
+    an unknown kind or method, or when the method does not apply.  A lattice
+    passed along with a matroid that has loops is that of its loopless
+    core."""
     if kind not in METHODS:
         raise ValueError("unknown kind %r" % kind)
     if method not in METHODS[kind]:
         raise ValueError("unknown %s method %r" % (kind, method))
-    if kind == "kl" and not m.is_loopless():
-        return ZERO  # P vanishes with loops, before any engine runs
-    return METHODS[kind][method][0](m, lattice, braid_n)
+    if kind in VANISH_WITH_LOOPS and not m.is_loopless():
+        return ZERO  # uH and P vanish with loops, before any engine runs
+    engine = METHODS[kind][method][0]
+    if method in LATTICE_METHODS[kind]:
+        return engine(_lat(m, lattice))
+    return engine(_loopless_core(m), braid_n)
 
 
 class InvariantReport:
@@ -1010,11 +1003,13 @@ def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
     `deadline` is an absolute time.monotonic() stamp; exceeding it between
     methods raises TimeoutError (cooperative budget, never mid-method).
     """
+    core = _loopless_core(m)
+    # with loops uH and P are 0: the methods get m and need no lattice
+    subject = m if kind in VANISH_WITH_LOOPS else core
     if method == "all":
-        methods = applicable_methods(m, kind, braid_n)
-        # one lattice, of the loopless core, for every method; with loops uH and P are 0
-        if lattice is None and (m.is_loopless() or kind in ("augchow", "z")):
-            lattice = _lat(m)
+        methods = applicable_methods(core, kind, braid_n)
+        if lattice is None and subject is core:
+            lattice = lattice_of_flats(core)  # one lattice for every method
     else:
         methods = [method]  # compute_invariant checks it before building a lattice
     results = {}
@@ -1026,9 +1021,9 @@ def invariant_report(m, kind, method="all", braid_n=None, descriptor=None,
         # Z goes through its public entry point, so a wrapper around
         # `z_poly` sees every Z polynomial a report computes
         results[name] = (
-            z_poly(m, name, lattice)
+            z_poly(subject, name, lattice)
             if kind == "z"
-            else compute_invariant(m, kind, name, braid_n, lattice)
+            else compute_invariant(subject, kind, name, braid_n, lattice)
         )
         seconds[name] = time.perf_counter() - t0
     values = list(results.values())

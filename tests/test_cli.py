@@ -162,6 +162,14 @@ def test_invariant_single_method(capsys):
     assert data["methods"]["conv_def"]["coeffs"] == ["1", "5", "10", "10", "5", "1"]
 
 
+def test_closed_form_answers_for_the_loopless_core(capsys):
+    # U(1,4) plus a loop: uniform_closed reads the core U(1,4), as paving does
+    for method in ("uniform_closed", "paving"):
+        code, out = run(capsys, "invariant", "dual(uniform+coloop:3,4)", "augchow", method)
+        assert code == 0, method
+        assert re.search(r"^  %s +x \+ 1 " % method, out, re.M), out
+
+
 def test_crosscheck_alias(capsys):
     code, data = run_json(capsys, "crosscheck", "uniform:3,5", "chow")
     assert code == 0 and data["agree"] is True

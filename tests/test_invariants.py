@@ -67,15 +67,25 @@ from matroid_invariants.invariants import (
 from matroid_invariants.poset import FlatsLattice, GradedPoset
 from test_poset import random_graphic, random_sparse_paving
 
-CHOW_ENGINES = (chow_chains, chow_char_conv, chow_intrinsic, chow_incidence_inv)
-AUG_ENGINES = (
-    aug_chow_chains,
-    aug_chow_contraction_conv,
-    aug_chow_alt_conv,
-    aug_chow_mobius_conv,
-    aug_chow_intrinsic,
-    aug_chow_incidence_inv,
-)
+# public per-method name -> the (kind, method) it runs through compute_invariant
+PUBLIC_METHODS = {
+    chow_chains: ("chow", "chains"),
+    chow_char_conv: ("chow", "char_conv"),
+    chow_intrinsic: ("chow", "intrinsic"),
+    chow_incidence_inv: ("chow", "incidence_inv"),
+    chow_semismall: ("chow", "semismall"),
+    chow_of_paving: ("chow", "paving"),
+    aug_chow_chains: ("augchow", "chains"),
+    aug_chow_contraction_conv: ("augchow", "contraction_conv"),
+    aug_chow_alt_conv: ("augchow", "alt_conv"),
+    aug_chow_mobius_conv: ("augchow", "mobius_conv"),
+    aug_chow_intrinsic: ("augchow", "intrinsic"),
+    aug_chow_incidence_inv: ("augchow", "incidence_inv"),
+    aug_chow_semismall: ("augchow", "semismall"),
+    aug_chow_of_paving: ("augchow", "paving"),
+    kl_bv_deletion: ("kl", "bv_deletion"),
+    z_bv_deletion: ("z", "bv_deletion"),
+}
 
 
 # -- chain engines ------------------------------------------------------------------
@@ -154,7 +164,7 @@ def test_chow_incidence_values():
 
 def test_aug_chow_convolutions_agree():
     for m in (uniform(4, 5), boolean(3), empty_matroid(), uniform(2, 6)):
-        values = {f(m) for f in AUG_ENGINES}
+        values = {compute_invariant(m, "augchow", method) for method in applicable_methods(m, "augchow")}
         assert len(values) == 1, m
     assert aug_chow_mobius_conv(uniform(4, 5)) == Poly([1, 26, 66, 26, 1])
     assert aug_chow_contraction_conv(empty_matroid()) == ONE
@@ -571,16 +581,57 @@ def test_hrs_identity():
 
 
 def test_loop_conventions_all_engines():
-    loopy = uniform(0, 3)
-    for f in CHOW_ENGINES:
-        assert f(loopy) == ZERO, f.__name__
-    assert chow_semismall(loopy) == ZERO
-    for f in AUG_ENGINES:
-        assert f(loopy) == ONE, f.__name__
-    assert aug_chow_semismall(loopy) == ONE
-    loopy2 = uniform(0, 2).add_coloop()
-    for f in AUG_ENGINES:
-        assert f(loopy2) == Poly([1, 1]), f.__name__
+    # uH and P are 0 with loops, closed forms and methods that do not apply
+    # included; every applicable H and Z method answers for the loopless core
+    cases = (
+        (uniform(0, 3), ONE, ONE),
+        (uniform(0, 2).add_coloop(), Poly([1, 1]), Poly([1, 1])),
+        (uniform(3, 5).direct_sum(uniform(0, 1)), aug_chow_uniform(3, 5), z_uniform(3, 5)),
+    )
+    for m, h, z in cases:
+        core = m.delete(m.loops())
+        assert core.is_loopless() and core.n < m.n
+        want = {"augchow": h, "z": z}
+        for kind, methods in KINDS.items():
+            applicable = applicable_methods(m, kind)
+            assert applicable == applicable_methods(core, kind), (m, kind)
+            for method in methods if kind not in want else ():
+                # no braid_n, so braid_closed is run too
+                assert compute_invariant(m, kind, method) == ZERO, (m, kind, method)
+            for method in applicable if kind in want else ():
+                got = compute_invariant(m, kind, method)
+                assert got == compute_invariant(core, kind, method) == want[kind], (m, kind, method)
+
+
+def test_closed_forms_answer_for_the_loopless_core():
+    m = uniform(1, 4).direct_sum(uniform(0, 1))
+    assert compute_invariant(m, "augchow", "uniform_closed") == aug_chow_uniform(1, 4)
+    assert compute_invariant(m, "augchow", "paving") == aug_chow_uniform(1, 4)
+    # a chow closed form returns 0 with loops instead of raising
+    assert compute_invariant(uniform(3, 5).direct_sum(uniform(0, 1)), "chow", "uniform_closed") == ZERO
+
+
+def test_public_method_names_run_their_registry_entry(small_corpus, store, monkeypatch):
+    calls = []
+    run = invariants.compute_invariant
+
+    def recording(m, kind, method, braid_n=None, lattice=None):
+        calls.append((kind, method))
+        return run(m, kind, method, braid_n, lattice)
+
+    monkeypatch.setattr(invariants, "compute_invariant", recording)
+    checked = set()
+    for name, m, braid_n in small_corpus:
+        lat = store.lattice(m)
+        for f, (kind, method) in PUBLIC_METHODS.items():
+            if method not in applicable_methods(m, kind, braid_n):
+                continue
+            want = run(m, kind, method, braid_n, lat)
+            calls.clear()
+            got = f(m) if method == "paving" else f(m, lat)
+            assert got == want and calls == [(kind, method)], (name, f.__name__, calls)
+            checked.add(f)
+    assert checked == set(PUBLIC_METHODS)
 
 
 def test_simplification_invariance():
@@ -715,11 +766,12 @@ APPLICABLE = {
         "kl": ["epw", "intrinsic", "uniform_fast"],
         "z": ["conv_def"],
     },
-    "loopy": {
-        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall"],
+    "loopy": {  # the tests see the loopless core U(3,5)
+        "chow": ["chains", "char_conv", "intrinsic", "incidence_inv", "semismall",
+                 "uniform_closed", "paving"],
         "augchow": ["chains", "contraction_conv", "alt_conv", "mobius_conv", "intrinsic",
-                    "incidence_inv", "semismall"],
-        "kl": ["epw", "intrinsic", "bv_deletion"],
+                    "incidence_inv", "semismall", "uniform_closed", "paving"],
+        "kl": ["epw", "intrinsic", "bv_deletion", "uniform_fast"],
         "z": ["conv_def", "bv_deletion"],
     },
 }
@@ -755,8 +807,8 @@ def test_non_applicable_methods_raise():
             for method in KINDS[kind]:
                 if method in methods or method not in needs:
                     continue
-                if name == "loopy" and method == "uniform_fast":
-                    continue  # P vanishes with loops, before any check
+                if name == "loopy" and kind in ("chow", "kl"):
+                    continue  # uH and P vanish with loops, before any check
                 with pytest.raises(ValueError) as info:
                     compute_invariant(m, kind, method, braid_n)
                 assert str(info.value) == needs[method], (name, kind, method)
@@ -789,7 +841,7 @@ def lattice_builds(monkeypatch):
 def test_invariant_report_builds_one_lattice_with_loops(lattice_builds):
     m = uniform(3, 9).direct_sum(uniform(0, 1))
     r = invariant_report(m, "augchow")
-    assert r.agree and len(r.results) == 6
+    assert r.agree and len(r.results) == 9  # semismall is listed on the 9-element core
     assert lattice_builds == [uniform(3, 9)]
     lattice_builds.clear()
     assert invariant_report(m, "chow").results["char_conv"] == ZERO
