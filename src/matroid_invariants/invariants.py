@@ -956,7 +956,7 @@ def applicable_methods(m, kind, braid_n=None):
 
 def compute_invariant(m, kind, method, braid_n=None, lattice=None):
     """Run one named method; this is the one place where a registry engine
-    runs, and the one place where loops are handled.  Raises ValueError for
+    runs, and where the loop rule is applied.  Raises ValueError for
     an unknown kind or method, or when the method does not apply.  A lattice
     passed along with a matroid that has loops is that of its loopless
     core."""
