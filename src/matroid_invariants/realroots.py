@@ -1,22 +1,23 @@
 """Exact real-root certification: Sturm sequences, isolation, interlacing.
 
 Everything here runs on integers; there is no floating point on any
-certification path.  Sturm chains, and with them squarefree parts, are
-computed in Z[x] alone: each remainder is an integer pseudo-remainder,
+certification path.  The module has one Euclidean loop, the signed
+remainder sequence a, b, -rem(a, b), ... of two polynomials in Z[x]
+(`_signed_remainders`): each remainder is an integer pseudo-remainder,
 scaled at every step by a positive factor of the divisor's leading
 coefficient, and reduced to its primitive part.  Positive scaling keeps the
 sign structure, and a primitive part is the same whatever positive multiple
-it came from, so every chain entry is the primitive part of the remainder
-over Q.  Rationals appear only as evaluation points (root isolation and
-interlacing), as `fractions.Fraction`s that `cauchy_bound` and
-`count_distinct_real_roots` make, which import `fractions` themselves; the
-sign of a polynomial at a / b is read off an integer sum, with no
-`Fraction` arithmetic per coefficient.
+it came from, so every entry is the primitive part of the remainder over Q.
+A Sturm chain is the sequence of p and p', and squarefree parts divide by
+its last entry.
 
-Interlacing counts the roots of a real-rooted polynomial up to a point,
-with multiplicity, by Descartes' rule of signs on its Taylor expansion at
-that point (`_descartes_counter`), so the Sturm chain is the module's one
-Euclidean loop.
+Interlacing is decided by the Cauchy index of p / q, read off the signed
+remainder sequence of (q, p) at -inf and +inf, with no evaluation point
+(`interlaces` gives the proof).  Rationals appear only in
+`isolate_real_roots` and `count_distinct_real_roots`, as interval
+endpoints that `cauchy_bound` and `count_distinct_real_roots` make by
+importing `fractions` themselves; the sign of a polynomial at a / b is
+read off an integer sum, with no `Fraction` arithmetic per coefficient.
 
 A palindromic polynomial with a nonnegative gamma vector is decided on its
 gamma polynomial, of half the degree (Gal 2005; Branden 2004): if
@@ -117,44 +118,40 @@ def _exact_quotient(a, b):
 
 
 def squarefree_part(p):
-    """p / gcd(p, p') as a primitive integer polynomial (same root set)."""
-    return _squarefree_with_chain(p)[0]
-
-
-def _squarefree_with_chain(p):
-    """(q, chain): q = squarefree_part(p), and chain the Sturm chain of q
-    when it came for free, else None.
+    """p / gcd(p, p') as a primitive integer polynomial (same root set).
 
     The gcd is the last entry of the Sturm chain of p, taken with a
-    positive leading coefficient so that the quotient has the sign of p.
-    When it is a constant, p is squarefree, q is p's primitive part and
-    that chain is q's."""
+    positive leading coefficient so that the quotient has the sign of p."""
     cs = _primitive(_int_coeffs(p))
     if len(cs) <= 1:
-        return cs, None
-    chain = sturm_chain(cs)
-    g = chain[-1]
+        return cs
+    g = sturm_chain(cs)[-1]
     if len(g) == 1:
-        return cs, chain
+        return cs
     if g[-1] < 0:
         g = tuple(-c for c in g)
-    return _primitive(_exact_quotient(cs, g)), None
+    return _primitive(_exact_quotient(cs, g))
+
+
+def _signed_remainders(a, b):
+    """The signed remainder sequence a, b, -rem(a, b), ... of two integer
+    polynomials, each entry primitive and none zero.
+
+    The last entry is gcd(a, b) up to a nonzero constant."""
+    chain = [_primitive(a), _primitive(b)]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive(tuple(-c for c in rem)))
+    return [c for c in chain if c]
 
 
 def sturm_chain(coeffs):
     """Sturm chain of an integer polynomial, each entry primitive integer.
 
     The last entry is gcd(p, p') up to a nonzero constant."""
-    s0 = _primitive(coeffs)
-    if len(s0) <= 1:
-        return [s0] if s0 else []
-    chain = [s0, _primitive(_derivative(s0))]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive(tuple(-c for c in rem)))
-    return chain
+    return _signed_remainders(coeffs, _derivative(coeffs))
 
 
 def _sign(v):
@@ -191,16 +188,20 @@ def count_distinct_real_roots(p, lo=None, hi=None):
     """Number of distinct real roots of p, in (lo, hi] if bounds are given.
 
     The chain is that of the squarefree part, so an endpoint may be a root,
-    of any multiplicity.  Bounds are read exactly as `Fraction`s.
+    of any multiplicity.  Bounds are read exactly as `Fraction`s, and
+    lo > hi raises `ValueError`.
     """
     from fractions import Fraction
 
-    cs, chain = _squarefree_with_chain(p)
+    lo, hi = (None if x is None else Fraction(x) for x in (lo, hi))
+    cs = squarefree_part(p)
     if not cs:
         raise ValueError("the zero polynomial has every number as a root")
-    chain = chain or sturm_chain(cs)
-    va = _variations_at_inf(chain, False) if lo is None else _variations_at(chain, Fraction(lo))
-    vb = _variations_at_inf(chain, True) if hi is None else _variations_at(chain, Fraction(hi))
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError("the interval (lo, hi] needs lo <= hi")
+    chain = sturm_chain(cs)
+    va = _variations_at_inf(chain, False) if lo is None else _variations_at(chain, lo)
+    vb = _variations_at_inf(chain, True) if hi is None else _variations_at(chain, hi)
     return va - vb
 
 
@@ -267,10 +268,10 @@ def isolate_real_roots(p):
     Interval endpoints are never roots.  Input need not be squarefree; the
     isolation runs on the squarefree part.
     """
-    q, chain = _squarefree_with_chain(p)
+    q = squarefree_part(p)
     if len(q) <= 1:
         return []
-    chain = chain or sturm_chain(q)
+    chain = sturm_chain(q)
     bound = cauchy_bound(q)
 
     def count(a, b):
@@ -296,24 +297,6 @@ def isolate_real_roots(p):
     return out
 
 
-def _descartes_counter(p):
-    """x -> the number of roots <= x of the real-rooted polynomial p,
-    counted with multiplicity, at any rational x.
-
-    With d = deg p and V(x) the sign changes, zeros dropped, in
-    p(x), p'(x), ..., p^(d)(x), the count is d - V(x).  Proof: the roots of
-    p(x + t) = sum_k p^(k)(x) t^k / k! in t are those of p shifted by -x,
-    so all real, and its coefficients have the signs of the p^(k)(x).
-    Descartes' rule of signs is exact for a real-rooted polynomial: its
-    positive roots, with multiplicity, number its sign changes.  So V(x)
-    counts the roots of p above x, and the other d - V(x) are <= x.
-    """
-    derivs = [p.coeffs]
-    while len(derivs[-1]) > 1:
-        derivs.append(_derivative(derivs[-1]))
-    return lambda x: p.degree - _variations_at(derivs, x)
-
-
 def interlaces(p, q):
     """Weak interlacing of root multisets: with p_1 <= ... <= p_s and
     q_1 <= ... <= q_t the sorted real roots (with multiplicity), checks
@@ -321,6 +304,21 @@ def interlaces(p, q):
 
     Requires deg q in {deg p, deg p + 1}; a q of smaller degree never
     interlaces.  Both inputs must be real-rooted.
+
+    Decided by the Cauchy index of p / q: V(-inf) - V(+inf) on the signed
+    remainder sequence of (q, p) (Sturm-Sylvester), which ends in
+    g = gcd(p, q).  Let p1 = p / g, q1 = q / g and m = deg q1.  Common roots
+    cancel: in the merged sorted roots every run of equal values alternates
+    q, p, q, ..., so deleting or inserting an adjacent (q, p) pair keeps the
+    pattern, and p, q interlace weakly iff p1, q1 interlace strictly.  Each
+    distinct root x of q1 adds -1, 0 or 1 to the index, a simple one the
+    sign of p1(x) / q1'(x).  So, q1 being real-rooted, the index is s m
+    (|s| = 1) iff q1 has simple roots x_1 < ... < x_m with
+    sign p1(x_j) = s sign lead(q1) (-1)^(m-j).  Then p1 has a root in each
+    gap, and deg p1 <= m leaves at most one more, outside [x_1, x_m];
+    p1(x_m) has the sign of lead(p1) unless that one lies right of x_m, as
+    strict interlacing needs when deg p = deg q.  Hence s, as lead(p1)
+    lead(q1) has the sign of lead(p) lead(q).
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("interlacing needs nonzero polynomials")
@@ -328,12 +326,10 @@ def interlaces(p, q):
         raise ValueError("interlacing requires real-rooted polynomials")
     if q.degree < p.degree or q.degree > p.degree + 1:
         return False
-
-    # the counts change only at roots of p * q; left of them both are 0
-    count_p = _descartes_counter(p)
-    count_q = _descartes_counter(q)
-    for _, s in isolate_real_roots(p * q):
-        np_, nq = count_p(s), count_q(s)
-        if not (np_ <= nq <= np_ + 1):
-            return False
-    return True
+    chain = _signed_remainders(q.coeffs, p.coeffs)
+    index = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
+    m = q.degree - (len(chain[-1]) - 1)
+    s = _sign(p.coeffs[-1] * q.coeffs[-1])
+    if p.degree == q.degree:
+        s = -s
+    return index == s * m

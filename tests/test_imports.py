@@ -70,20 +70,38 @@ def test_unused_import_scan_sees_reads_and_misses(tmp_path):
 DEFERRED_MODULES = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "logging", "fractions")
 
 
-def test_importing_the_package_and_cli_loads_no_deferred_module():
-    # a fresh interpreter; the difference leaves out what `site` or a .pth file loads
+def loaded_in_fresh_interpreter(body):
+    """Modules that `body` loads in a fresh interpreter, with what it
+    prints; the difference leaves out what `site` or a .pth file loads."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import matroid_invariants, matroid_invariants.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        + body
+        + "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(matroid_invariants.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    added = proc.stdout.split()
+    *printed, added = proc.stdout.splitlines()
+    return added.split(), printed
+
+
+def test_importing_the_package_and_cli_loads_no_deferred_module():
+    added, _ = loaded_in_fresh_interpreter("import matroid_invariants, matroid_invariants.cli\n")
     assert "matroid_invariants.cli" in added
     found = sorted(set(added) & set(DEFERRED_MODULES))
     assert not found, "imported by matroid_invariants and its cli: " + ", ".join(found)
+
+
+def test_certifying_interlacing_loads_no_fractions():
+    # interlacing is read off an integer remainder sequence at +-inf, so
+    # no rational evaluation point is made
+    added, printed = loaded_in_fresh_interpreter(
+        "from matroid_invariants.cli import main\n"
+        "assert main(['certify', 'vamos', 'interlace']) == 0\n"
+    )
+    assert any("interlace" in line for line in printed), printed
+    assert "matroid_invariants.realroots" in added
+    assert "fractions" not in added

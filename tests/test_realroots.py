@@ -5,12 +5,19 @@ from math import gcd
 import pytest
 
 from matroid_invariants import realroots
-from matroid_invariants.invariants import aug_chow_paving, chow_braid, chow_paving
-from matroid_invariants.poly import ONE, Poly, X, eulerian, gamma_expand, gamma_vector
+from matroid_invariants.invariants import (
+    aug_chow_contraction_conv,
+    aug_chow_paving,
+    chow_braid,
+    chow_char_conv,
+    chow_paving,
+    z_poly,
+)
+from matroid_invariants.poly import ONE, Poly, X, binomial_eulerian, derangement, eulerian, gamma_expand, gamma_vector
 from matroid_invariants.realroots import (
     _derivative,
-    _descartes_counter,
     _primitive,
+    _variations_at,
     _variations_at_inf,
     cauchy_bound,
     count_distinct_real_roots,
@@ -385,9 +392,9 @@ def test_isolation_equals_fraction_reference():
 
 
 
-def test_squarefree_input_builds_one_sturm_chain(monkeypatch):
-    # the chain that finds gcd(p, p') = 1 is the chain of p itself, so a
-    # squarefree input costs one Euclidean loop; a square factor costs two
+def test_root_queries_chain_the_input_and_its_squarefree_part(monkeypatch):
+    # squarefree_part chains p to find gcd(p, p'), and the query then chains
+    # the squarefree part: two Euclidean loops, squarefree input or not
     p = Poly([1, 3, 1]) * Poly([2, 5, 1])
     square = p * (ONE + X) ** 2
     want = {
@@ -409,11 +416,23 @@ def test_squarefree_input_builds_one_sturm_chain(monkeypatch):
         "count in (-1, 0]": lambda q: count_distinct_real_roots(q, -1, 0),
     }
     for name, query in queries.items():
-        for q, expect, n_chains in zip((p, square), want[name], (1, 2)):
+        for q, expect in zip((p, square), want[name]):
             calls.clear()
             assert query(q) == expect, (name, q)
-            assert len(calls) == n_chains, (name, q)
+            assert len(calls) == 2, (name, q)
     assert squarefree_part(p) == p.coeffs
+
+
+def test_count_rejects_reversed_bounds():
+    for p in (X, Poly([-1, 0, 1]), Poly([-5])):
+        for lo, hi in ((1, -1), (2, -2), (Fraction(1, 3), Fraction(1, 4))):
+            with pytest.raises(ValueError):
+                count_distinct_real_roots(p, lo, hi)
+        # an empty interval (x, x] holds no root, even at a root
+        assert count_distinct_real_roots(p, 1, 1) == 0
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_distinct_real_roots(Poly(), 1, -1)
+
 
 def test_interlaces_examples():
     assert interlaces(Poly([1, 1]), Poly([1, 1]) * Poly([2, 1]))
@@ -499,16 +518,123 @@ def test_interlaces_against_merged_roots():
     assert shared > 300 and repeated > 300, (shared, repeated)
 
 
+# -- the root-isolation reference for interlacing -------------------------------
+
+
+def descartes_counter(p):
+    """x -> the number of roots <= x of the real-rooted polynomial p,
+    counted with multiplicity, at any rational x.
+
+    With d = deg p and V(x) the sign changes, zeros dropped, in
+    p(x), p'(x), ..., p^(d)(x), the count is d - V(x).  Proof: the roots of
+    p(x + t) = sum_k p^(k)(x) t^k / k! in t are those of p shifted by -x,
+    so all real, and its coefficients have the signs of the p^(k)(x).
+    Descartes' rule of signs is exact for a real-rooted polynomial: its
+    positive roots, with multiplicity, number its sign changes.  So V(x)
+    counts the roots of p above x, and the other d - V(x) are <= x.
+    """
+    derivs = [p.coeffs]
+    while len(derivs[-1]) > 1:
+        derivs.append(_derivative(derivs[-1]))
+    return lambda x: p.degree - _variations_at(derivs, x)
+
+
+def ref_interlaces(p, q):
+    """Weak interlacing of the nonzero real-rooted p and q by root
+    isolation: the root counts of p and q up to a point change only at
+    roots of p * q, so they are compared at the right end of each isolating
+    interval of p * q, where q must lead p by 0 or 1."""
+    if q.degree < p.degree or q.degree > p.degree + 1:
+        return False
+    count_p = descartes_counter(p)
+    count_q = descartes_counter(q)
+    for _, s in isolate_real_roots(p * q):
+        np_, nq = count_p(s), count_q(s)
+        if not (np_ <= nq <= np_ + 1):
+            return False
+    return True
+
+
 def test_descartes_count_at_rational_points():
     # deg p - V(x) counts the roots <= x with multiplicity, at roots too
     rng = random.Random(1902)
     for _ in range(300):
         pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         roots = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
-        count = _descartes_counter(rational_root_poly(roots, rng.choice((1, -1))))
+        count = descartes_counter(rational_root_poly(roots, rng.choice((1, -1))))
         points = set(pool) | {Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(4)}
         for x in points:
             assert count(x) == sum(r <= x for r in roots), (roots, x)
+
+
+def assert_interlacing_matches_reference(pairs):
+    """interlaces == ref_interlaces on every pair; returns how many hold."""
+    held = 0
+    for p, q in pairs:
+        want = ref_interlaces(p, q)
+        assert interlaces(p, q) == want, (p, q)
+        held += want
+    return held
+
+
+def test_interlaces_matches_isolation_on_matroid_invariants(corpus, store):
+    # (uH, H), (H, Z), (uH, Z) and self-pairs of every loopless matroid of
+    # rank >= 1 in the corpus
+    pairs = []
+    seen = set()
+    for _, m, _ in corpus:
+        if not m.is_loopless() or m.rank < 1 or m.key() in seen:
+            continue
+        seen.add(m.key())
+        lat = store.lattice(m)
+        uh, h, z = chow_char_conv(m, lat), aug_chow_contraction_conv(m, lat), z_poly(m, lattice=lat)
+        pairs += [(uh, h), (h, z), (uh, z), (uh, uh), (h, h), (z, z)]
+    held = assert_interlacing_matches_reference(pairs)
+    assert len(pairs) > 300 and 0 < held < len(pairs), (len(pairs), held)
+
+
+def test_interlaces_matches_isolation_on_derivatives():
+    # p' and -p' interlace p for real-rooted p (Rolle), whatever the signs
+    families = (eulerian, binomial_eulerian, derangement)
+    polys = [f(n) for f in families for n in range(12) if f(n).degree >= 1]
+    pairs = [(sign * p.derivative(), p) for p in polys for sign in (1, -1)]
+    assert assert_interlacing_matches_reference(pairs) == len(pairs)
+
+
+IRRATIONAL = (Poly([-2, 0, 1]), Poly([-3, 0, 1]), Poly([-1, -1, 1]), Poly([-1, -2, 2]), Poly([-7, 0, 5]), Poly([1, -4, 1]))
+
+
+def test_interlaces_matches_isolation_on_irrational_roots():
+    # products of linear factors and of quadratics with irrational roots,
+    # some factors repeated, a random common factor in both, signs of both
+    # kinds; a share of the pairs are (p, p * linear) and (p', p), which hold
+    rng = random.Random(1903)
+
+    def factor():
+        if rng.random() < 0.5:
+            return Poly([rng.randint(-5, 5), rng.randint(1, 3)])
+        return rng.choice(IRRATIONAL)
+
+    def product(shared):
+        p = shared * rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(rng.randint(0, 3)):
+            p = p * factor() ** rng.randint(1, 2)
+        return p
+
+    pairs = []
+    for _ in range(3000):
+        shared = ONE
+        for _ in range(rng.randint(0, 2)):
+            shared = shared * factor()
+        p, q = product(shared), product(shared)
+        shape = rng.random()
+        if shape < 0.3:
+            q = p * Poly([rng.randint(-5, 5), rng.choice((-2, -1, 1, 3))])
+        elif shape < 0.45 and p.degree >= 1:
+            p, q = rng.choice((1, -1)) * p.derivative(), p
+        pairs.append((p, q))
+    held = assert_interlacing_matches_reference(pairs)
+    assert 900 < held < 2100, held
 
 
 def test_derivative_interlaces():
