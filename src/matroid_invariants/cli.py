@@ -37,6 +37,7 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from itertools import islice
 from math import comb
 
 from . import equivariant as eq
@@ -56,7 +57,7 @@ from .invariants import (
     z_poly,
 )
 from .matroid import Matroid, boolean, complete_graph, mask_of, uniform, vamos
-from .poly import Poly, gamma_vector, is_unimodal, series_inverse_prefix
+from .poly import Poly, gamma_vector, is_unimodal, series_inverse
 from .poset import GradedPoset, kls_H_general, kls_uH_general, lattice_of_flats, whitney_numbers
 from .realroots import interlaces, real_rooted, roots_all_real
 
@@ -223,16 +224,29 @@ def _poly_block(test, named):
     return {"ok": all(e["ok"] for e in entries), "entries": entries}
 
 
-def _alt_inverse_prefix(q, terms):
-    """The first `terms` coefficients of the power series 1/q(-x)."""
+def _alt_inverse_prefix(q, terms, label):
+    """The first `terms` coefficients of the power series 1/q(-x).  A
+    coefficient with more decimal digits than sys.get_int_max_str_digits()
+    (0: no limit) could not be printed, so the expansion stops at the first
+    one with a SpecError that names the request, label, and the term."""
     alt = Poly([(-1) ** i * c for i, c in enumerate(q.coeffs)])
-    return series_inverse_prefix(alt, terms - 1)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10 ** digits if digits else None
+    prefix = []
+    for c in islice(series_inverse(alt), terms):
+        if bound is not None and abs(c) >= bound:
+            raise SpecError(
+                "%s: the coefficient of x^%d has more than %d digits, the interpreter's "
+                "limit for integer string conversion" % (label, len(prefix), digits)
+            )
+        prefix.append(c)
+    return prefix
 
 
 def _koszul_block(named, terms):
     entries = []
     for t, q in named:
-        prefix = _alt_inverse_prefix(q, terms)
+        prefix = _alt_inverse_prefix(q, terms, "koszul-prefix:%d of %s" % (terms, t))
         entries.append({"name": t, "prefix": [str(c) for c in prefix], "ok": all(c >= 0 for c in prefix)})
     return {"ok": all(e["ok"] for e in entries), "terms": terms, "entries": entries}
 
@@ -363,7 +377,8 @@ def cmd_equivariant(args):
 def cmd_whitney_inverse(args):
     m, _ = parse_matroid_spec(args.spec)
     w = whitney_numbers(m)
-    prefix = _alt_inverse_prefix(w, 2 * m.rank if args.terms is None else _term_count(args.terms))
+    terms = 2 * m.rank if args.terms is None else _term_count(args.terms)
+    prefix = _alt_inverse_prefix(w, terms, "whitney-inverse --terms %d" % terms)
     payload = {
         "schema": "1",
         "spec": args.spec,

@@ -24,11 +24,17 @@ recursions scan no bases, build no lattice of a minor and share no
 interval table with the lattice engines.  The two semismall engines share
 one recursion, for uH or H, whose contraction factors are always uH.
 bv_deletion reads `tau` of a contraction off the P that its own recursion
-computes for it.  Neither recursion builds a minor of rank at most 3: its
-lattice of flats is fixed by its rank and its numbers a and l of rank-1 and
-rank-2 flats, and `_low_rank` gives its four values and their sources (in
-rank 3, uH = 1 + (l+1)x + x^2, H = 1 + (a+l+1)(x + x^2) + x^3,
-P = 1 + (l-a)x and Z = 1 + l(x + x^2) + x^3).
+computes for it.  Neither recursion builds a minor of rank at most 4: its
+values are fixed by its rank, its numbers a, l and h of rank-1, rank-2 and
+rank-3 flats and, in rank 4, its numbers s and t of pairs (atom inside a
+rank-3 flat) and (atom inside a rank-2 flat), and `_low_rank` gives the four
+values and their sources (in rank 3, uH = 1 + (l+1)x + x^2,
+H = 1 + (a+l+1)(x + x^2) + x^3, P = 1 + (l-a)x and Z = 1 + l(x + x^2) + x^3;
+in rank 4, with c = l + h + 1, uH = 1 + c(x + x^2) + x^3, P = 1 + (h-a)x,
+H = 1 + (c+a)x + (c+a+l+s)x^2 + (c+a)x^3 + x^4 and
+Z = 1 + hx + (l+s-t)x^2 + hx^3 + x^4).  `_low_minor` takes the counts of a
+child on its parent's key: for M|F the flats of ranks 1 to 3 inside F,
+for M/G those of ranks rk G + 1 to rk G + 3 containing G.
 
 Conventions for matroids with loops, one rule applied in `compute_invariant`:
 uH and P are 0 with loops before any method runs; every other engine and
@@ -315,32 +321,62 @@ def _s_families(key, i):
 
 
 @lru_cache(maxsize=None)
-def _low_rank(k, a=0, l=0):
-    """(uH, H, P, Z) of a loopless matroid of rank k <= 3 with a rank-1 and
-    l rank-2 flats, which fix its lattice of flats.  Rank 0: all four are 1;
-    rank 1: uH = P = 1, H = Z = 1 + x; rank 2: uH = 1 + x, P = 1,
+def _low_rank(k, a=0, l=0, h=0, s=0, t=0):
+    """(uH, H, P, Z) of a loopless matroid of rank k <= 4 with a rank-1,
+    l rank-2 and h rank-3 flats, s pairs (atom inside a rank-3 flat) and t
+    pairs (atom inside a rank-2 flat); below rank 4 these fix its lattice
+    of flats, and in rank 4 they fix its four values.  Rank 0: all four are
+    1; rank 1: uH = P = 1, H = Z = 1 + x; rank 2: uH = 1 + x, P = 1,
     H = 1 + (a+1)x + x^2, Z = 1 + ax + x^2.  Rank 3: uH = 1 + (l+1)x + x^2,
     as dim A^1 = #(nonempty proper flats) - a + 1; P = 1 + (l-a)x, whose
     linear coefficient is #hyperplanes - #atoms (Elias-Proudfoot-Wakefield);
-    H and Z are the sums over flats of x^rk F uH(M/F) and x^rk F P(M/F)."""
+    H and Z are the sums over flats F of x^rk F uH(M/F) and x^rk F P(M/F).
+    Rank 4, with c = l + h + 1: uH = 1 + c(x + x^2) + x^3 and P = 1 + (h-a)x
+    by the same two facts; H = 1 + (c+a)x + (c+a+l+s)x^2 + (c+a)x^3 + x^4
+    and Z = 1 + hx + (l+s-t)x^2 + hx^3 + x^4 by the same sums, as M/A for
+    an atom A has rank 3, with the t_A lines through A as its atoms and the
+    s_A rank-3 flats through A as its lines, and these sum to t and s."""
     if k == 0:
         return ONE, ONE, ONE, ONE
     if k == 1:
         return ONE, ONE + X, ONE, ONE + X
     if k == 2:
         return ONE + X, Poly((1, a + 1, 1)), ONE, Poly((1, a, 1))
-    b = a + l + 1
-    return Poly((1, l + 1, 1)), Poly((1, b, b, 1)), Poly((1, l - a)), Poly((1, l, l, 1))
+    if k == 3:
+        b = a + l + 1
+        return Poly((1, l + 1, 1)), Poly((1, b, b, 1)), Poly((1, l - a)), Poly((1, l, l, 1))
+    c = l + h + 1
+    b = c + a
+    return (Poly((1, c, c, 1)), Poly((1, b, b + l + s, b, 1)), Poly((1, h - a)),
+            Poly((1, h, l + s - t, h, 1)))
 
 
 def _low_minor(levels, f, lo, c, up, uh=False):
-    """`_low_rank` of the minor M/f (up) or M|f of rank c <= 3, whose rank-1
-    and rank-2 flats are the flats of ranks lo and lo + 1 containing f, or
-    inside f.  uH reads no rank-1 count, so with uh true none is made."""
-    def count(s):
-        return len([g for g in levels[s] if (g & f if up else g | f) == f])
+    """`_low_rank` of the minor M/f (up) or M|f of rank c <= 4, whose flats
+    of ranks 1, 2 and 3 are the flats of ranks lo, lo + 1 and lo + 2
+    containing f, or inside f.  uH reads no rank-1 count, so with uh true
+    none is made.  A contraction is read only for uH or P, which read no
+    incidences, so s and t are counted on restrictions only: the atoms
+    inside f are parallel classes, so a flat holds as many atoms as it
+    holds of their least elements."""
+    def flats(j):
+        return [g for g in levels[lo + j - 1] if (g & f if up else g | f) == f]
 
-    return _low_rank(c, count(lo) if c >= 2 and not uh else 0, count(lo + 1) if c == 3 else 0)
+    atoms = flats(1) if c >= 2 and not uh else ()
+    if c <= 2:
+        return _low_rank(c, len(atoms))
+    lines = flats(2)
+    if c == 3:
+        return _low_rank(3, len(atoms), len(lines))
+    hyps = flats(3)
+    s = t = 0
+    if atoms and not up:
+        least = 0
+        for g in atoms:
+            least |= g & -g
+        s = sum((g & least).bit_count() for g in hyps)
+        t = sum((g & least).bit_count() for g in lines)
+    return _low_rank(4, len(atoms), len(lines), len(hyps), s, t)
 
 
 # -- semi-small deletion engines ------------------------------------------------
@@ -362,15 +398,15 @@ def _semismall(key, aug, memo):
     """uH (aug false) or H (aug true) of a flat-set minor by
     f(M) = f(M - i) + x sum_F uH(M/(F+i)) f(M|F) over the flats F of
     `_s_families`: nonempty F for uH, every F for H.  memo is one dict per
-    polynomial, (uH, H).  A minor of rank at most 3 is read off `_low_rank`,
+    polynomial, (uH, H).  A minor of rank at most 4 is read off `_low_minor`,
     at entry and before a child is built, so no such key is made: M - i
     keeps rank k, M/(F+i) has rank k - rk F - 1, M|F rank rk F and a free
     matroid on c elements rank c.  Equal terms are summed once, by
     (uH(M/(F+i)), f(M|F))."""
     n, levels = key
     k = len(levels) - 1
-    if k <= 3:
-        return _low_rank(k, *map(len, levels[1:k]))[aug]
+    if k <= 4:
+        return _low_minor(levels, (1 << n) - 1, 1, k, False, not aug)[aug]
     table = memo[aug]
     val = table.get(key)
     if val is not None:
@@ -379,9 +415,12 @@ def _semismall(key, aug, memo):
     extra = ZERO
     if i is None:
         # free matroid: split off the last coloop; the minors by a c-subset
-        # of the rest are free on n - 1 - c and c elements
+        # of the rest are free on n - 1 - c and c elements.  Free on c, its
+        # rank-j flats are the j-subsets, each holding j atoms
         def free(c, aug):
-            return _low_rank(c, c, comb(c, 2))[aug] if c <= 3 else _semismall(_free(c), aug, memo)
+            if c <= 4:
+                return _low_rank(c, c, comb(c, 2), comb(c, 3), 3 * comb(c, 3), 2 * comb(c, 2))[aug]
+            return _semismall(_free(c), aug, memo)
 
         n -= 1
         acc = (ONE + X) * free(n, aug)
@@ -394,9 +433,9 @@ def _semismall(key, aug, memo):
         for r, f in _s_families(key, i):
             if f or aug:
                 c, g = k - r - 1, f | bit
-                con = (_low_minor(levels, g, r + 2, c, True, True)[0] if c <= 3
+                con = (_low_minor(levels, g, r + 2, c, True, True)[0] if c <= 4
                        else _semismall(_contract(key, g, r + 1), False, memo))
-                res = (_low_minor(levels, f, 1, r, False, not aug)[aug] if r <= 3
+                res = (_low_minor(levels, f, 1, r, False, not aug)[aug] if r <= 4
                        else _semismall(_restrict(key, f, r), aug, memo))
                 terms[con, res] += 1
         extra = sum((t * con * res for (con, res), t in terms.items()), ZERO)
@@ -637,13 +676,13 @@ def _bv_pair(key, memo):
     """(P, Z) of a flat-set minor by the deletion recursion.  tau of each
     contraction M/(F+i) is the middle coefficient of its own P, from the
     same recursion and memo: it has fewer elements, so the recursion ends.
-    As in `_semismall`, a minor of rank at most 3 is read off `_low_rank`
+    As in `_semismall`, a minor of rank at most 4 is read off `_low_minor`
     and its key is never built; M/i has rank k - 1.  Equal terms are summed
     once, by (shift, P(M|F), Z(M|F)) with their tau added."""
     n, levels = key
     k = len(levels) - 1
-    if k <= 3:
-        return _low_rank(k, *map(len, levels[1:k]))[2:]
+    if k <= 4:
+        return _low_minor(levels, (1 << n) - 1, 1, k, False)[2:]
     val = memo.get(key)
     if val is not None:
         return val
@@ -655,7 +694,7 @@ def _bv_pair(key, memo):
         p_del, z_del = _bv_pair(_delete(key, i), memo)
         if bit not in levels[1]:  # M/i is loopless iff {i} is a flat
             p_con = ZERO
-        elif k <= 4:
+        elif k <= 5:
             p_con = _low_minor(levels, bit, 2, k - 1, True)[2]
         else:
             p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
@@ -664,11 +703,11 @@ def _bv_pair(key, memo):
             if (k - r) % 2:
                 continue  # tau of the even-rank contraction vanishes
             c, g = k - r - 1, f | bit
-            p_c = (_low_minor(levels, g, r + 2, c, True)[2] if c <= 3
+            p_c = (_low_minor(levels, g, r + 2, c, True)[2] if c <= 4
                    else _bv_pair(_contract(key, g, r + 1), memo)[0])
             t = p_c.coeff((c - 1) // 2)
             if t:
-                terms[(k - r) // 2, _low_minor(levels, f, 1, r, False)[2:] if r <= 3
+                terms[(k - r) // 2, _low_minor(levels, f, 1, r, False)[2:] if r <= 4
                       else _bv_pair(_restrict(key, f, r), memo)] += t
         p_acc = sum(((t * p).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
         z_acc = sum(((t * z).shift(d) for (d, (p, z)), t in terms.items()), ZERO)

@@ -15,6 +15,7 @@ symmetric a/b decomposition and gamma vectors.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
 
 
@@ -382,21 +383,32 @@ def gamma_expand(g, d):
     return acc
 
 
-def series_inverse_prefix(p, n_terms):
-    """First n_terms + 1 coefficients of the power series 1/p(x), exactly.
+def series_inverse(p):
+    """The coefficients of the power series 1/p(x), exactly, one at a time
+    and without end, so a caller can stop at any term.
 
-    Requires p(0) in {1, -1} so that the expansion stays integral.
+    Requires p(0) in {1, -1} so that the expansion stays integral; the
+    first step raises otherwise.
     """
     c0 = p.coeff(0)
     if c0 not in (1, -1):
         raise NonUnitConstant("constant term must be +-1, got %s" % c0)
     out = [c0]  # 1/c0 == c0 for c0 = +-1
-    for k in range(1, n_terms + 1):
+    yield c0
+    for k in count(1):
         s = 0
         for j in range(1, min(k, p.degree) + 1):
             s += p.coeff(j) * out[k - j]
         out.append(-c0 * s)
-    return out
+        yield out[k]
+
+
+def series_inverse_prefix(p, n_terms):
+    """First n_terms + 1 coefficients of the power series 1/p(x), exactly.
+
+    Requires p(0) in {1, -1} so that the expansion stays integral.
+    """
+    return list(islice(series_inverse(p), n_terms + 1))
 
 
 def exact_div_x_minus_1(p):

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import re
+import sys
 import time
 
 import pytest
@@ -285,6 +286,38 @@ def test_term_counts_below_one_rejected(capsys):
     assert code == 0 and data["inverse_prefix"] == ["1"]
     code, data = run_json(capsys, "whitney-inverse", "uniform:3,5")
     assert code == 0 and len(data["inverse_prefix"]) == 6  # default 2 * rank
+
+
+def test_series_prefixes_stop_at_the_digit_limit(capsys):
+    # a coefficient with more digits than the interpreter converts to a
+    # string cannot be printed: the expansion stops at the first one, with
+    # one error naming the request and the term
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # no limit: the reference prefixes of uH and H
+        code, data = run_json(capsys, "certify", "uniform:3,5", "koszul-prefix:1600")
+        assert code == 0
+        chow, aug = (next(i for i, c in enumerate(e["prefix"]) if len(c.lstrip("-")) > 640)
+                     for e in data["checks"]["koszul-prefix"]["entries"])
+        assert aug < chow
+        sys.set_int_max_str_digits(640)
+        assert main(["certify", "uniform:3,5", "koszul-prefix:8000"]) == 1
+        assert main(["certify", "uniform:3,5", "koszul-prefix:%d" % (aug + 1)]) == 1
+        assert main(["whitney-inverse", "uniform:3,5", "--terms", "10000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        reason = "has more than 640 digits, the interpreter's limit for integer string conversion"
+        lines = err.splitlines()
+        assert lines[:2] == [
+            "error: koszul-prefix:8000 of chow: the coefficient of x^%d %s" % (chow, reason),
+            "error: koszul-prefix:%d of augchow: the coefficient of x^%d %s" % (aug + 1, aug, reason),
+        ]
+        assert re.fullmatch(r"error: whitney-inverse --terms 10000: the coefficient of x\^\d+ " + reason, lines[2])
+        assert len(lines) == 3
+        code, data = run_json(capsys, "certify", "uniform:3,5", "koszul-prefix:%d" % aug)
+        assert code == 0 and [len(e["prefix"]) for e in data["checks"]["koszul-prefix"]["entries"]] == [aug] * 2
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # -- other subcommands ----------------------------------------------------------------

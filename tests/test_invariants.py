@@ -275,11 +275,13 @@ def test_deletion_engines_match_lattice_engines():
         assert values == _lattice_engine_values(m, lat), m
 
 
-def test_deletion_recursions_build_no_key_of_rank_at_most_3(monkeypatch):
+def test_deletion_recursions_build_no_key_of_rank_at_most_4(monkeypatch):
     rng = random.Random(9)
-    # uniform(6, 9) has restrictions of rank 4; boolean(6) reaches `_free`
-    ms = (vamos(), uniform(4, 9), complete_graph(5), boolean(6), random_sparse_paving(rng, 9, 4, 12),
-          uniform(5, 8), uniform(6, 9))
+    # uniform(7, 9) has restrictions of rank 5, uniform(6, 9) contractions of
+    # rank 5; boolean(6) and boolean(7) reach `_free`
+    ms = (vamos(), uniform(4, 9), complete_graph(5), boolean(6), boolean(7),
+          random_sparse_paving(rng, 9, 4, 12), random_sparse_paving(rng, 9, 5, 12),
+          uniform(5, 8), uniform(6, 9), uniform(7, 9))
     lats = [lattice_of_flats(m) for m in ms]
     ranks = {}
     for name in ("_contract", "_restrict", "_delete", "_free"):
@@ -293,36 +295,63 @@ def test_deletion_recursions_build_no_key_of_rank_at_most_3(monkeypatch):
         values = [engine(m, lat) for engine in DELETION_ENGINES]
         assert values == _lattice_engine_values(m, lat), m
     assert sorted(ranks) == ["_contract", "_delete", "_free", "_restrict"]
-    assert {name: min(rs) for name, rs in ranks.items()} == dict.fromkeys(ranks, 4)
+    assert {name: min(rs) for name, rs in ranks.items()} == dict.fromkeys(ranks, 5)
+
+
+def _key_counts(levels, k):
+    """(a, l, h, s, t) of a loopless flat-set key of rank k <= 4: its flats
+    of ranks 1, 2, 3, then its pairs (atom inside a rank-3 flat) and (atom
+    inside a rank-2 flat), by subset tests."""
+    def pairs(r):
+        return sum(not atom & ~g for atom in levels[1] for g in levels[r]) if r < k else 0
+
+    return (*(len(levels[r]) if r < k else 0 for r in (1, 2, 3)), pairs(3), pairs(2))
+
+
+def _rank4_stress(corpus):
+    # every loopless rank-4 matroid of the corpus, seeded rank-4 sparse
+    # paving and graphic matroids and matroids with parallel classes
+    rng = random.Random(13)
+    ms = [m for _, m, _ in corpus if m.rank == 4 and m.is_loopless()]
+    ms += [random_sparse_paving(rng, n, 4, 12) for n in (6, 7, 8, 9) for _ in range(3)]
+    ms += [m for m in (random_graphic(rng, 5, e) for e in (5, 6, 7, 8, 9) for _ in range(2)) if m.rank == 4]
+    return ms + [m for m in _with_parallel_classes() if m.rank == 4]
 
 
 def test_low_rank_closed_forms(corpus):
-    # every loopless rank-3 matroid of the corpus, seeded rank-3 sparse
-    # paving matroids and matroids with parallel classes
+    # rank 3: every loopless rank-3 matroid of the corpus, seeded rank-3
+    # sparse paving matroids and matroids with parallel classes; rank 4 the same
     rng = random.Random(13)
     ms = [m for _, m, _ in corpus if m.rank == 3 and m.is_loopless()]
     ms += [random_sparse_paving(rng, n, 3, 12) for n in (5, 6, 7, 8, 9) for _ in range(2)]
     ms += [m for m in _with_parallel_classes() if m.rank == 3]
-    assert len(ms) >= 30
-    for m in ms:
+    rank4 = _rank4_stress(corpus)
+    assert len(ms) >= 30 and len(rank4) >= 30
+    for m in ms + rank4:
         lat = lattice_of_flats(m)
-        a, l = (len(lat.by_rank[r]) for r in (1, 2))
-        assert list(invariants._low_rank(3, a, l)) == _lattice_engine_values(m, lat), m
+        counts = _key_counts(invariants._flat_key(lat)[1], m.rank)
+        assert list(invariants._low_rank(m.rank, *counts)) == _lattice_engine_values(m, lat), m
+    # the free matroid on 4 elements, as the free branch of `_semismall` reads it
+    assert invariants._low_rank(4, 4, 6, 4, 12, 12)[:2] == (eulerian(4), binomial_eulerian(4))
 
 
 def test_low_minor_reads_the_key_counts(corpus):
-    # the counts of a minor of rank <= 3, read off its parent's key, are
-    # those of the key that `_contract` or `_restrict` would build
-    for m in _minor_stress(corpus):
+    # the counts of a minor of rank <= 4, read off its parent's key, give
+    # the values of the key that `_contract` or `_restrict` would build; a
+    # contraction is read for uH and P only, and with uh true for uH only
+    for m in _minor_stress(corpus) + _rank4_stress(corpus):
         lat = lattice_of_flats(m)
         key = invariants._flat_key(lat)
         for f, r in zip(lat.flats, lat.ranks):
             for up, c, lo, build in ((True, m.rank - r, r + 1, invariants._contract),
                                      (False, r, 1, invariants._restrict)):
-                if c <= 3:
-                    levels = build(key, f, r)[1]
-                    expected = invariants._low_rank(c, *map(len, levels[1:c]))
-                    assert invariants._low_minor(key[1], f, lo, c, up) == expected, (m, f, up)
+                if c <= 4:
+                    expected = invariants._low_rank(c, *_key_counts(build(key, f, r)[1], c))
+                    got = invariants._low_minor(key[1], f, lo, c, up)
+                    if up:
+                        assert (got[0], got[2]) == (expected[0], expected[2]), (m, f, up)
+                    else:
+                        assert got == expected, (m, f, up)
                     assert invariants._low_minor(key[1], f, lo, c, up, True)[0] == expected[0]
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb
 
 import pytest
@@ -23,6 +23,7 @@ from matroid_invariants.poly import (
     is_unimodal,
     ones,
     palindromic_decompose,
+    series_inverse,
     series_inverse_prefix,
     shape_checks,
     stirling2,
@@ -380,6 +381,14 @@ def test_series_inverse_quadratic_term():
         assert series_inverse_prefix(p, 2)[2] == a * a - b
 
 
+def test_series_inverse_runs_on_past_any_prefix():
+    p = Poly([1, -5, 10, -1])
+    assert list(islice(series_inverse(p), 6)) == series_inverse_prefix(p, 5)
+    assert next(islice(series_inverse(Poly([1, -1])), 10**4, None)) == 1
+
+
 def test_series_inverse_requires_unit():
     with pytest.raises(NonUnitConstant):
         series_inverse_prefix(Poly([2, 1]), 3)
+    with pytest.raises(NonUnitConstant):
+        next(series_inverse(Poly([2, 1])))
