@@ -225,10 +225,8 @@ def _poly_block(test, named):
 
 
 def _alt_inverse_prefix(q, terms, label):
-    """The first `terms` coefficients of the power series 1/q(-x).  A
-    coefficient with more decimal digits than sys.get_int_max_str_digits()
-    (0: no limit) could not be printed, so the expansion stops at the first
-    one with a SpecError that names the request, label, and the term."""
+    """The first `terms` coefficients of the power series 1/q(-x); a
+    SpecError naming label at the first one too long to print."""
     alt = Poly([(-1) ** i * c for i, c in enumerate(q.coeffs)])
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bound = 10 ** digits if digits else None

@@ -24,17 +24,14 @@ recursions scan no bases, build no lattice of a minor and share no
 interval table with the lattice engines.  The two semismall engines share
 one recursion, for uH or H, whose contraction factors are always uH.
 bv_deletion reads `tau` of a contraction off the P that its own recursion
-computes for it.  Neither recursion builds a minor of rank at most 4: its
-values are fixed by its rank, its numbers a, l and h of rank-1, rank-2 and
-rank-3 flats and, in rank 4, its numbers s and t of pairs (atom inside a
-rank-3 flat) and (atom inside a rank-2 flat), and `_low_rank` gives the four
-values and their sources (in rank 3, uH = 1 + (l+1)x + x^2,
-H = 1 + (a+l+1)(x + x^2) + x^3, P = 1 + (l-a)x and Z = 1 + l(x + x^2) + x^3;
+computes for it.  Neither recursion builds a minor of rank at most 4:
+`_low_rank` gives its values, and their sources, from its numbers a, l, h
+of flats of ranks 1, 2, 3 and s, t of pairs (atom, rank-3 flat) and (atom,
+rank-2 flat) with the atom inside; in rank 3, uH = 1 + (l+1)x + x^2,
+H = 1 + (a+l+1)(x + x^2) + x^3, P = 1 + (l-a)x, Z = 1 + l(x + x^2) + x^3;
 in rank 4, with c = l + h + 1, uH = 1 + c(x + x^2) + x^3, P = 1 + (h-a)x,
-H = 1 + (c+a)x + (c+a+l+s)x^2 + (c+a)x^3 + x^4 and
-Z = 1 + hx + (l+s-t)x^2 + hx^3 + x^4).  `_low_minor` takes the counts of a
-child on its parent's key: for M|F the flats of ranks 1 to 3 inside F,
-for M/G those of ranks rk G + 1 to rk G + 3 containing G.
+H = 1 + (c+a)(x + x^3) + (c+a+l+s)x^2 + x^4, Z = 1 + h(x + x^3) +
+(l+s-t)x^2 + x^4.  `_low_minor` counts them on the parent's key.
 
 Conventions for matroids with loops, one rule applied in `compute_invariant`:
 uH and P are 0 with loops before any method runs; every other engine and
@@ -322,20 +319,17 @@ def _s_families(key, i):
 
 @lru_cache(maxsize=None)
 def _low_rank(k, a=0, l=0, h=0, s=0, t=0):
-    """(uH, H, P, Z) of a loopless matroid of rank k <= 4 with a rank-1,
-    l rank-2 and h rank-3 flats, s pairs (atom inside a rank-3 flat) and t
-    pairs (atom inside a rank-2 flat); below rank 4 these fix its lattice
-    of flats, and in rank 4 they fix its four values.  Rank 0: all four are
-    1; rank 1: uH = P = 1, H = Z = 1 + x; rank 2: uH = 1 + x, P = 1,
+    """(uH, H, P, Z) of a loopless matroid of rank k <= 4 with a, l, h
+    flats of ranks 1, 2, 3, s pairs (atom, rank-3 flat) and t pairs (atom,
+    rank-2 flat) with the atom inside.  Rank 0: all four are 1; rank 1:
+    uH = P = 1, H = Z = 1 + x; rank 2: uH = 1 + x, P = 1,
     H = 1 + (a+1)x + x^2, Z = 1 + ax + x^2.  Rank 3: uH = 1 + (l+1)x + x^2,
     as dim A^1 = #(nonempty proper flats) - a + 1; P = 1 + (l-a)x, whose
     linear coefficient is #hyperplanes - #atoms (Elias-Proudfoot-Wakefield);
     H and Z are the sums over flats F of x^rk F uH(M/F) and x^rk F P(M/F).
-    Rank 4, with c = l + h + 1: uH = 1 + c(x + x^2) + x^3 and P = 1 + (h-a)x
-    by the same two facts; H = 1 + (c+a)x + (c+a+l+s)x^2 + (c+a)x^3 + x^4
-    and Z = 1 + hx + (l+s-t)x^2 + hx^3 + x^4 by the same sums, as M/A for
-    an atom A has rank 3, with the t_A lines through A as its atoms and the
-    s_A rank-3 flats through A as its lines, and these sum to t and s."""
+    Rank 4, c = l + h + 1: uH = 1 + c(x + x^2) + x^3, P = 1 + (h-a)x by
+    the same facts, H and Z by the same sums: M/A for an atom A has the t_A
+    lines through A as atoms and the s_A rank-3 flats through A as lines."""
     if k == 0:
         return ONE, ONE, ONE, ONE
     if k == 1:
@@ -353,12 +347,10 @@ def _low_rank(k, a=0, l=0, h=0, s=0, t=0):
 
 def _low_minor(levels, f, lo, c, up, uh=False):
     """`_low_rank` of the minor M/f (up) or M|f of rank c <= 4, whose flats
-    of ranks 1, 2 and 3 are the flats of ranks lo, lo + 1 and lo + 2
-    containing f, or inside f.  uH reads no rank-1 count, so with uh true
-    none is made.  A contraction is read only for uH or P, which read no
-    incidences, so s and t are counted on restrictions only: the atoms
-    inside f are parallel classes, so a flat holds as many atoms as it
-    holds of their least elements."""
+    of ranks 1, 2, 3 are the flats of ranks lo, lo + 1, lo + 2 containing f,
+    or inside f.  uH reads no rank-1 count, so with uh true none is made.
+    s and t are counted on M|f only, as M/f is read for uH or P: a flat
+    holds as many of its atoms (parallel classes) as of their least bits."""
     def flats(j):
         return [g for g in levels[lo + j - 1] if (g & f if up else g | f) == f]
 
@@ -415,8 +407,7 @@ def _semismall(key, aug, memo):
     extra = ZERO
     if i is None:
         # free matroid: split off the last coloop; the minors by a c-subset
-        # of the rest are free on n - 1 - c and c elements.  Free on c, its
-        # rank-j flats are the j-subsets, each holding j atoms
+        # of the rest are free on n - 1 - c and c elements
         def free(c, aug):
             if c <= 4:
                 return _low_rank(c, c, comb(c, 2), comb(c, 3), 3 * comb(c, 3), 2 * comb(c, 2))[aug]

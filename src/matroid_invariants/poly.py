@@ -384,11 +384,9 @@ def gamma_expand(g, d):
 
 
 def series_inverse(p):
-    """The coefficients of the power series 1/p(x), exactly, one at a time
-    and without end, so a caller can stop at any term.
+    """The coefficients of the power series 1/p(x), exactly, without end.
 
-    Requires p(0) in {1, -1} so that the expansion stays integral; the
-    first step raises otherwise.
+    Requires p(0) in {1, -1} so that the expansion stays integral.
     """
     c0 = p.coeff(0)
     if c0 not in (1, -1):
