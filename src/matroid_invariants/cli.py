@@ -375,7 +375,7 @@ def cmd_equivariant(args):
 def cmd_whitney_inverse(args):
     m, _ = parse_matroid_spec(args.spec)
     w = whitney_numbers(m)
-    terms = 2 * m.rank if args.terms is None else _term_count(args.terms)
+    terms = max(2 * m.rank, 1) if args.terms is None else _term_count(args.terms)
     prefix = _alt_inverse_prefix(w, terms, "whitney-inverse --terms %d" % terms)
     payload = {
         "schema": "1",
@@ -580,7 +580,7 @@ def build_parser():
 
     p = subs.add_parser("whitney-inverse", help="Whitney numbers and the 1/W(-x) prefix")
     p.add_argument("spec")
-    p.add_argument("--terms", type=int, help="number of series coefficients (default 2*rank)")
+    p.add_argument("--terms", type=int, help="number of series coefficients (default 2*rank, at least 1)")
     _add_common(p)
     p.set_defaults(func=cmd_whitney_inverse)
 

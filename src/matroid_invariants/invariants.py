@@ -24,7 +24,9 @@ recursions scan no bases, build no lattice of a minor and share no
 interval table with the lattice engines.  The two semismall engines share
 one recursion, for uH or H, whose contraction factors are always uH.
 bv_deletion reads `tau` of a contraction off the P that its own recursion
-computes for it.  Neither recursion builds a minor of rank at most 4:
+computes for it.  Both answer a free key, whose rank equals its size, from
+that size at entry: `_free_semismall` gives uH and H, and (P, Z) is
+(1, (1+x)^n).  Neither recursion builds a minor of rank at most 4:
 `_low_rank` gives its values, and their sources, from its numbers a, l, h
 of flats of ranks 1, 2, 3 and s, t of pairs (atom, rank-3 flat) and (atom,
 rank-2 flat) with the atom inside; in rank 3, uH = 1 + (l+1)x + x^2,
@@ -285,24 +287,16 @@ def _restrict(key, f, rf):
     )
 
 
-def _free(n):
-    """Flat-set key of the free matroid on n elements: every subset is a flat."""
-    levels = [[] for _ in range(n + 1)]
-    for s in range(1 << n):
-        levels[s.bit_count()].append(s)
-    return n, tuple(map(tuple, levels))
-
-
 def _smallest_non_coloop(key):
-    """The least element that is not a coloop, or None for a free matroid.
-    Needs rank at least 1: i is a coloop iff E - i is a hyperplane."""
+    """The least element that is not a coloop of a key that is not free:
+    i is a coloop iff E - i is a hyperplane."""
     n, levels = key
     full = (1 << n) - 1
     rest = full
     for h in levels[-2]:
         if h.bit_count() == n - 1:
             rest ^= full ^ h
-    return (rest & -rest).bit_length() - 1 if rest else None
+    return (rest & -rest).bit_length() - 1
 
 
 def _s_families(key, i):
@@ -392,47 +386,50 @@ def _semismall(key, aug, memo):
     `_s_families`: nonempty F for uH, every F for H.  memo is one dict per
     polynomial, (uH, H).  A minor of rank at most 4 is read off `_low_minor`,
     at entry and before a child is built, so no such key is made: M - i
-    keeps rank k, M/(F+i) has rank k - rk F - 1, M|F rank rk F and a free
-    matroid on c elements rank c.  Equal terms are summed once, by
+    keeps rank k, M/(F+i) has rank k - rk F - 1 and M|F rank rk F.  A free
+    key, of rank equal to its size, is answered at entry by
+    `_free_semismall` on its size.  Equal terms are summed once, by
     (uH(M/(F+i)), f(M|F))."""
     n, levels = key
     k = len(levels) - 1
     if k <= 4:
         return _low_minor(levels, (1 << n) - 1, 1, k, False, not aug)[aug]
+    if k == n:
+        return _free_semismall(n, aug)
     table = memo[aug]
     val = table.get(key)
     if val is not None:
         return val
     i = _smallest_non_coloop(key)
-    extra = ZERO
-    if i is None:
-        # free matroid: split off the last coloop; the minors by a c-subset
-        # of the rest are free on n - 1 - c and c elements
-        def free(c, aug):
-            if c <= 4:
-                return _low_rank(c, c, comb(c, 2), comb(c, 3), 3 * comb(c, 3), 2 * comb(c, 2))[aug]
-            return _semismall(_free(c), aug, memo)
-
-        n -= 1
-        acc = (ONE + X) * free(n, aug)
-        for c in range(0 if aug else 1, n):  # c = 0 is the F = {} term
-            extra = extra + comb(n, c) * free(n - c, False) * free(c, aug)
-    else:
-        bit = 1 << i
-        acc = _semismall(_delete(key, i), aug, memo)
-        terms = Counter()
-        for r, f in _s_families(key, i):
-            if f or aug:
-                c, g = k - r - 1, f | bit
-                con = (_low_minor(levels, g, r + 2, c, True, True)[0] if c <= 4
-                       else _semismall(_contract(key, g, r + 1), False, memo))
-                res = (_low_minor(levels, f, 1, r, False, not aug)[aug] if r <= 4
-                       else _semismall(_restrict(key, f, r), aug, memo))
-                terms[con, res] += 1
-        extra = sum((t * con * res for (con, res), t in terms.items()), ZERO)
-    val = acc + extra.shift(1)
+    bit = 1 << i
+    terms = Counter()
+    for r, f in _s_families(key, i):
+        if f or aug:
+            c, g = k - r - 1, f | bit
+            con = (_low_minor(levels, g, r + 2, c, True, True)[0] if c <= 4
+                   else _semismall(_contract(key, g, r + 1), False, memo))
+            res = (_low_minor(levels, f, 1, r, False, not aug)[aug] if r <= 4
+                   else _semismall(_restrict(key, f, r), aug, memo))
+            terms[con, res] += 1
+    extra = sum((t * con * res for (con, res), t in terms.items()), ZERO)
+    val = _semismall(_delete(key, i), aug, memo) + extra.shift(1)
     table[key] = val
     return val
+
+
+@lru_cache(maxsize=None)
+def _free_semismall(n, aug):
+    """uH (aug false) or H (aug true) of the free matroid B_n by the coloop
+    variant of the recursion: splitting off the last coloop,
+    f(B_n) = (1 + x) f(B_(n-1)) + x sum_c C(n-1, c) uH(B_(n-1-c)) f(B_c),
+    over c >= 1 for uH and c >= 0 for H.  uH = H = 1 on B_0, and uH = 1,
+    H = 1 + x on B_1."""
+    if n <= 1:
+        return ONE + X if n and aug else ONE
+    n -= 1
+    extra = sum((comb(n, c) * _free_semismall(n - c, False) * _free_semismall(c, aug)
+                 for c in range(0 if aug else 1, n)), ZERO)
+    return (ONE + X) * _free_semismall(n, aug) + extra.shift(1)
 
 
 # -- closed forms: uniform matroids ---------------------------------------------
@@ -668,41 +665,41 @@ def _bv_pair(key, memo):
     contraction M/(F+i) is the middle coefficient of its own P, from the
     same recursion and memo: it has fewer elements, so the recursion ends.
     As in `_semismall`, a minor of rank at most 4 is read off `_low_minor`
-    and its key is never built; M/i has rank k - 1.  Equal terms are summed
-    once, by (shift, P(M|F), Z(M|F)) with their tau added."""
+    and its key is never built; M/i has rank k - 1.  A free key of size n is
+    answered at entry by (1, (1+x)^n).  Equal terms are summed once, by
+    (shift, P(M|F), Z(M|F)) with their tau added."""
     n, levels = key
     k = len(levels) - 1
     if k <= 4:
         return _low_minor(levels, (1 << n) - 1, 1, k, False)[2:]
+    if k == n:
+        return ONE, (ONE + X) ** n
     val = memo.get(key)
     if val is not None:
         return val
     i = _smallest_non_coloop(key)
-    if i is None:
-        val = (ONE, (ONE + X) ** n)
+    bit = 1 << i
+    p_del, z_del = _bv_pair(_delete(key, i), memo)
+    if bit not in levels[1]:  # M/i is loopless iff {i} is a flat
+        p_con = ZERO
+    elif k <= 5:
+        p_con = _low_minor(levels, bit, 2, k - 1, True)[2]
     else:
-        bit = 1 << i
-        p_del, z_del = _bv_pair(_delete(key, i), memo)
-        if bit not in levels[1]:  # M/i is loopless iff {i} is a flat
-            p_con = ZERO
-        elif k <= 5:
-            p_con = _low_minor(levels, bit, 2, k - 1, True)[2]
-        else:
-            p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
-        terms = Counter()
-        for r, f in _s_families(key, i):
-            if (k - r) % 2:
-                continue  # tau of the even-rank contraction vanishes
-            c, g = k - r - 1, f | bit
-            p_c = (_low_minor(levels, g, r + 2, c, True)[2] if c <= 4
-                   else _bv_pair(_contract(key, g, r + 1), memo)[0])
-            t = p_c.coeff((c - 1) // 2)
-            if t:
-                terms[(k - r) // 2, _low_minor(levels, f, 1, r, False)[2:] if r <= 4
-                      else _bv_pair(_restrict(key, f, r), memo)] += t
-        p_acc = sum(((t * p).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
-        z_acc = sum(((t * z).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
-        val = (p_del - p_con.shift(1) + p_acc, z_del + z_acc)
+        p_con = _bv_pair(_contract(key, bit, 1), memo)[0]
+    terms = Counter()
+    for r, f in _s_families(key, i):
+        if (k - r) % 2:
+            continue  # tau of the even-rank contraction vanishes
+        c, g = k - r - 1, f | bit
+        p_c = (_low_minor(levels, g, r + 2, c, True)[2] if c <= 4
+               else _bv_pair(_contract(key, g, r + 1), memo)[0])
+        t = p_c.coeff((c - 1) // 2)
+        if t:
+            terms[(k - r) // 2, _low_minor(levels, f, 1, r, False)[2:] if r <= 4
+                  else _bv_pair(_restrict(key, f, r), memo)] += t
+    p_acc = sum(((t * p).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
+    z_acc = sum(((t * z).shift(d) for (d, (p, z)), t in terms.items()), ZERO)
+    val = (p_del - p_con.shift(1) + p_acc, z_del + z_acc)
     memo[key] = val
     return val
 

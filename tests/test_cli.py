@@ -288,6 +288,13 @@ def test_term_counts_below_one_rejected(capsys):
     assert code == 0 and len(data["inverse_prefix"]) == 6  # default 2 * rank
 
 
+def test_whitney_inverse_default_of_rank_0_is_one_term(capsys):
+    # 2 * rank would ask for 0 terms, which `--terms 0` rejects
+    code, data = run_json(capsys, "whitney-inverse", "boolean:0")
+    assert code == 0 and data["whitney"] == ["1"]
+    assert data["inverse_prefix"] == ["1"] and data["nonnegative"] is True
+
+
 def test_series_prefixes_stop_at_the_digit_limit(capsys):
     # a coefficient with more digits than the interpreter converts to a
     # string cannot be printed: the expansion stops at the first one, with

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,6 +22,7 @@ from matroid_invariants.poly import (
     binomial_eulerian,
     eulerian,
     ones,
+    palindromic_decompose,
 )
 from matroid_invariants.poset import interval_chibar, lattice_of_flats
 from matroid_invariants.invariants import (
@@ -181,9 +183,10 @@ def test_semismall_hand_run_rank4():
     # and M|F of rank 1, a pair the reverse, so each term is (1 + x) * 1 and
     # uH = A_4 + 10x(1 + x) = 1 + 21x + 21x^2 + x^3
     key = invariants._flat_key(lattice_of_flats(uniform(4, 5)))
-    assert invariants._delete(key, 0) == invariants._free(4)
+    free = invariants._flat_key(lattice_of_flats(boolean(4)))
+    assert invariants._delete(key, 0) == free
     assert eulerian(4) == Poly([1, 11, 11, 1])
-    assert invariants._semismall(invariants._free(4), False, ({}, {})) == eulerian(4)
+    assert invariants._semismall(free, False, ({}, {})) == eulerian(4)
     families = invariants._s_families(key, 0)
     points = [(1, 1 << j) for j in range(1, 5)]
     pairs = [(2, 1 << a | 1 << b) for a, b in combinations(range(1, 5), 2)]
@@ -200,6 +203,13 @@ def test_semismall_boolean_coloop_route():
     for n in range(7):
         assert chow_semismall(boolean(n)) == eulerian(n), n
         assert aug_chow_semismall(boolean(n)) == binomial_eulerian(n), n
+
+
+def test_free_semismall_is_eulerian():
+    # the coloop variant on sizes alone, past every key the recursions build
+    for n in range(13):
+        assert invariants._free_semismall(n, False) == eulerian(n), n
+        assert invariants._free_semismall(n, True) == binomial_eulerian(n), n
 
 
 def test_semismall_matches_other_engines():
@@ -266,7 +276,7 @@ def test_deletion_engines_match_lattice_engines():
     # matroids with parallel classes
     rng = random.Random(11)
     ms = [complete_graph(5), complete_graph(6), uniform(4, 9), uniform(5, 10),
-          uniform(6, 12), boolean(6)]
+          uniform(6, 12), boolean(6), boolean(9), uniform(7, 8)]
     ms += [random_sparse_paving(rng, 11, 5, 20) for _ in range(2)]
     ms += [random_graphic(rng, 7, 12), *equal_tutte_pair(), *_with_parallel_classes()]
     for m in ms:
@@ -278,13 +288,13 @@ def test_deletion_engines_match_lattice_engines():
 def test_deletion_recursions_build_no_key_of_rank_at_most_4(monkeypatch):
     rng = random.Random(9)
     # uniform(7, 9) has restrictions of rank 5, uniform(6, 9) contractions of
-    # rank 5; boolean(6) and boolean(7) reach `_free`
+    # rank 5; boolean(6) and boolean(7) are free, so they build no key at all
     ms = (vamos(), uniform(4, 9), complete_graph(5), boolean(6), boolean(7),
           random_sparse_paving(rng, 9, 4, 12), random_sparse_paving(rng, 9, 5, 12),
           uniform(5, 8), uniform(6, 9), uniform(7, 9))
     lats = [lattice_of_flats(m) for m in ms]
     ranks = {}
-    for name in ("_contract", "_restrict", "_delete", "_free"):
+    for name in ("_contract", "_restrict", "_delete"):
         def spy(*args, _name=name, _build=getattr(invariants, name)):
             key = _build(*args)
             ranks.setdefault(_name, []).append(len(key[1]) - 1)
@@ -294,7 +304,7 @@ def test_deletion_recursions_build_no_key_of_rank_at_most_4(monkeypatch):
     for m, lat in zip(ms, lats):
         values = [engine(m, lat) for engine in DELETION_ENGINES]
         assert values == _lattice_engine_values(m, lat), m
-    assert sorted(ranks) == ["_contract", "_delete", "_free", "_restrict"]
+    assert sorted(ranks) == ["_contract", "_delete", "_restrict"]
     assert {name: min(rs) for name, rs in ranks.items()} == dict.fromkeys(ranks, 5)
 
 
@@ -331,7 +341,7 @@ def test_low_rank_closed_forms(corpus):
         lat = lattice_of_flats(m)
         counts = _key_counts(invariants._flat_key(lat)[1], m.rank)
         assert list(invariants._low_rank(m.rank, *counts)) == _lattice_engine_values(m, lat), m
-    # the free matroid on 4 elements, as the free branch of `_semismall` reads it
+    # the free matroid on 4 elements: every subset is a flat
     assert invariants._low_rank(4, 4, 6, 4, 12, 12)[:2] == (eulerian(4), binomial_eulerian(4))
 
 
@@ -383,8 +393,7 @@ def test_deletion_engines_with_and_without_a_lattice():
 
 
 def test_deletion_recursions_scan_no_bases(monkeypatch):
-    # given the lattice, the recursions read every minor off its flats; the
-    # coloop reaches the free-matroid branch
+    # given the lattice, the recursions read every minor off its flats
     ms = (vamos(), uniform(3, 6).add_coloop())
     lats = [lattice_of_flats(m) for m in ms]
     expected = [[engine(m, lat) for engine in DELETION_ENGINES] for m, lat in zip(ms, lats)]
@@ -477,6 +486,67 @@ def test_chow_braid_against_lattice():
         assert p.degree == n - 2 and p.coeffs == p.coeffs[::-1], n
     with pytest.raises(ValueError):
         chow_braid(0)
+
+
+# -- closed forms against a table with one entry per rank --------------------------------------
+#
+# When every upper interval at rank p is alike and a flat of rank p lies below
+# counts(p, b) flats of rank b, `chow_table` and `kl_table` hold one entry per
+# rank.  Written out that way, they reach the closed forms far past any lattice.
+
+
+def _rank_table(k, counts, finish):
+    """t[p] for p = k, ..., 0: t[k] = 1, and t[p] is finish(S, k - p) for
+    S = sum_{b > p} counts(p, b) x^(b - p) t[b]."""
+    t = [ONE] * (k + 1)
+    for p in range(k - 1, -1, -1):
+        s = sum((counts(p, b) * t[b].shift(b - p) for b in range(p + 1, k + 1)), ZERO)
+        t[p] = finish(s, k - p)
+    return t
+
+
+def _chow_finish(s, rho):
+    return -palindromic_decompose(s)[1]
+
+
+def _kl_finish(s, rho):
+    return Poly([s.coeff(rho - j) - s.coeff(j) for j in range((rho + 1) // 2)])
+
+
+def _stirling_rows(n):
+    """S(a, j) for a <= n, by S(a, j) = j S(a - 1, j) + S(a - 1, j - 1)."""
+    rows = [[1]]
+    for a in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, a + 1)])
+    return rows
+
+
+def test_chow_braid_against_rank_table():
+    # Pi_n has rank n - 1, its upper interval at rank p is Pi_(n-p), and a
+    # flat of rank p lies below S(n - p, n - b) flats of rank b
+    stirling = _stirling_rows(20)
+    for n in range(1, 21):
+        t = _rank_table(n - 1, lambda p, b: stirling[n - p][n - b], _chow_finish)
+        assert chow_braid(n) == t[0], n
+
+
+def _uniform_by_rank_table(k, n, finish):
+    """(t[0], sum_{r<k} C(n, r) x^r t[r] + x^k) for U(k, n): a flat of rank
+    r < k lies below C(n - r, b - r) flats of rank b < k, and below E."""
+    t = _rank_table(k, lambda r, b: comb(n - r, b - r) if b < k else 1, finish)
+    return t[0], sum((comb(n, r) * t[r].shift(r) for r in range(k)), ONE.shift(k))
+
+
+def test_uniform_closed_forms_against_rank_table():
+    for n in range(1, 17):
+        for k in range(1, n + 1):
+            uh, h = _uniform_by_rank_table(k, n, _chow_finish)
+            assert (chow_uniform(k, n), aug_chow_uniform(k, n)) == (uh, h), (k, n)
+            p, z = _uniform_by_rank_table(k, n, _kl_finish)
+            assert (kl_uniform(k, n), z_uniform(k, n)) == (p, z), (k, n)
+    for k, n in ((23, 24), (12, 24), (10, 20)):
+        assert (kl_uniform(k, n), z_uniform(k, n)) == _uniform_by_rank_table(k, n, _kl_finish), (k, n)
 
 
 # -- Kazhdan-Lusztig and Z ---------------------------------------------------------------------
